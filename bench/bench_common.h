@@ -100,9 +100,10 @@ inline UpdateBatch MakeBatch(Graph* g, double fraction, uint64_t seed) {
 /// live-overlay baseline so benches can compare the two.
 inline double RunDect(Workload& w,
                       SnapshotMode mode = SnapshotMode::kAuto) {
+  DectOptions opts;
+  opts.snapshot_mode = mode;
   WallTimer t;
-  VioSet vio =
-      Dect(*w.graph, w.sigma, DectOptions{GraphView::kNew, 0, mode});
+  VioSet vio = Dect(*w.graph, w.sigma, opts);
   ::benchmark::DoNotOptimize(vio.size());
   return t.ElapsedSeconds();
 }
@@ -177,7 +178,7 @@ inline PIncDectOptions VariantOptions(const std::string& variant,
                                       int processors) {
   PIncDectOptions opts;
   opts.num_processors = processors;
-  opts.balance_interval_ms = 5;  // scaled intvl (DESIGN.md §3)
+  opts.balance_interval_ms = 5;  // scaled intvl (EXPERIMENTS.md §1)
   // The Fig. 4 series keep their historical meaning: the live-overlay
   // engine without the affected-area prefilter. The `_dv` series opt in
   // to the DeltaView via DeltaViewVariantOptions.

@@ -55,8 +55,8 @@ void RegisterAll() {
         opts.balance_interval_ms = 5;
         ngd::PIncDectResult result;
         double s = RunPIncDect(w, batch, opts, &result);
-        if (balance && c == 20) g_splits_at_c20 = result.splits;
-        if (balance && c == 100) g_splits_at_c100 = result.splits;
+        if (balance && c == 20) g_splits_at_c20 = result.metrics.splits;
+        if (balance && c == 100) g_splits_at_c100 = result.metrics.splits;
         w.graph->Rollback();
         return s;
       });

@@ -1,7 +1,8 @@
 // Fig. 4(n): impact of the balancing interval intvl on PIncDect and
 // PIncDect_ns (Exp-4), YAGO2-like graph, p = 4, C = 60, |ΔG| = 15%.
 //
-// Paper: intvl from 15s to 65s at cluster scale (ms here, DESIGN.md §3);
+// Paper: intvl from 15s to 65s at cluster scale (ms here, EXPERIMENTS.md
+// §1 "Scale mapping");
 // best at the middle (45), since too-frequent balancing pays
 // communication and too-rare balancing leaves processors skewed.
 

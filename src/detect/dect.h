@@ -34,26 +34,45 @@ enum class SnapshotMode : uint8_t {
   kNever,     ///< always match against the live overlay graph
 };
 
-/// Honest-partial-result report of one detection run (all engines). When
-/// a run is cancelled or hits its deadline it returns the violations
-/// found so far with `truncated` set; `rule_completed[f]` says whether
-/// rule f's enumeration finished, i.e. whether its reported violations
-/// are the complete set for that rule. An untruncated run marks every
-/// rule completed. Under Σ-minimization the marks are remapped to the
-/// caller's catalog through the implication cover: a dropped (implied)
-/// rule counts completed exactly when every rule that (transitively)
-/// implied it finished enumerating (see RemapRunInfo).
-struct DetectRunInfo {
-  bool truncated = false;
-  std::vector<char> rule_completed;  // indexed by the caller's Σ
-
-  void StartFull(size_t num_rules) {
-    truncated = false;
-    rule_completed.assign(num_rules, 1);
-  }
+/// The contract all four engines share (Dect, IncDect, PDect, PIncDect):
+/// Σ-minimization, cancellation and deadline, the partial-result report,
+/// and streaming results. Every engine's options struct derives from it,
+/// so the fields read opts.minimize_sigma, opts.spill, and so on.
+struct DetectControl {
+  /// Σ-optimizer (reason/sigma_optimizer.h): kNever runs Σ verbatim (the
+  /// default and the equivalence oracle); kAlways/kAuto detect against the
+  /// implication-minimized rule set — dropped rules spawn no sweeps, pivot
+  /// tasks or work units — and remap rule indices back to Σ. Kept-rule
+  /// violations and deltas are preserved exactly; dropped (implied) rules
+  /// report none — any graph violating them also violates a kept rule.
+  MinimizeMode minimize_sigma = MinimizeMode::kNever;
+  SigmaOptimizerOptions sigma_optimizer = {};
+  /// Graceful degradation: an externally cancellable run and/or a time
+  /// budget. When either trips mid-run the engine stops expanding (the
+  /// parallel engines broadcast the stop to every worker and drain their
+  /// queues unprocessed), returns the violations found so far, and
+  /// reports the partial-result shape through `run_info`. The process
+  /// never aborts.
+  CancelToken* cancel = nullptr;
+  Deadline deadline = {};
+  /// Optional out-param (must outlive the call): filled on every run,
+  /// truncated or not. A rule is complete when all of its work finished:
+  /// its sweep (Dect), every pivot task (IncDect), every work unit — seed
+  /// chunks, forwards, splits, spawned children (PDect, PIncDect).
+  DetectRunInfo* run_info = nullptr;
+  /// Streaming results: when set, result sets spill sorted checksummed
+  /// segments past budget_bytes instead of holding everything resident;
+  /// read them back with VioSet::OpenCursor (the checked/whole-set
+  /// surface is then off limits — see detect/vio_stream.h). Vio spills
+  /// under "<path_prefix>", ΔVio+ under "<path_prefix>.add" and ΔVio-
+  /// under "<path_prefix>.rem". The parallel engines give each worker's
+  /// local result budget_bytes/p under "<path_prefix>.w<i>" (plus the
+  /// same .add/.rem suffixes for ΔVio), and the merged result keeps
+  /// spilling under the caller's prefix.
+  const VioSpillOptions* spill = nullptr;
 };
 
-struct DectOptions {
+struct DectOptions : DetectControl {
   GraphView view = GraphView::kNew;
   /// Safety valve for adversarial rule sets: stop collecting per NGD after
   /// this many violations (0 = unlimited).
@@ -64,40 +83,7 @@ struct DectOptions {
   /// describe `view` of `g`. When set it overrides snapshot_mode: the
   /// engine skips its own build and never falls back to the live graph.
   const GraphSnapshot* snapshot = nullptr;
-  /// Σ-optimizer (reason/sigma_optimizer.h): kNever runs Σ verbatim (the
-  /// default and the equivalence oracle); kAlways/kAuto detect against the
-  /// implication-minimized rule set and remap violation indices back to Σ.
-  /// Kept-rule violations are preserved exactly; dropped (implied) rules
-  /// report none — any graph violating them also violates a kept rule.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation: an externally cancellable run and/or a time
-  /// budget. When either trips mid-sweep the engine stops expanding,
-  /// returns the violations found so far, and reports the partial-result
-  /// shape through `run_info`. The process never aborts.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  /// Optional out-param (must outlive the call): filled on every run,
-  /// truncated or not. Engines re-entering under Σ-minimization remap it.
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: when set, the returned VioSet spills sorted
-  /// checksummed segments past opts->budget_bytes instead of holding
-  /// everything resident; read it back with VioSet::OpenCursor (the
-  /// checked/whole-set surface is then off limits — see
-  /// detect/vio_stream.h).
-  const VioSpillOptions* spill = nullptr;
 };
-
-/// Remaps a DetectRunInfo produced against a minimized Σ back to the
-/// caller's catalog: kept rules copy their marks; a dropped (implied)
-/// rule is complete iff every rule on its implication cover
-/// (OptimizeReport::implied_by, followed transitively to kept rules)
-/// completed — its violations are covered by exactly those rules, so a
-/// truncation elsewhere in the sweep does not poison its mark. Reports
-/// without a recorded cover (e.g. served from a pre-upgrade cache entry)
-/// fall back to the conservative whole-run mark.
-void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
-                  size_t original_rules, DetectRunInfo* out);
 
 /// The kAuto cost model, two regimes, both evaluated on `view` — the view
 /// detection will actually match (a pending-heavy overlay graph must not

@@ -258,28 +258,12 @@ bool ResolveDeltaView(const Graph& g, const UpdateIndex& index,
   return base_snapshot_provided || WantDeltaView(g, index, tasks);
 }
 
-StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
-                           const UpdateBatch& batch,
-                           const IncDectOptions& opts) {
-  NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
+namespace {
 
-  // Σ-optimizer wiring (after validation, so rejection behavior matches
-  // the oracle even when the offending rule would have been dropped):
-  // dropped (implied) rules spawn no pivot tasks; kept-rule deltas are
-  // computed verbatim and remapped back to Σ.
-  IncDectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    auto delta = IncDect(g, m.sigma, batch, inner);
-    if (!delta.ok()) return delta;
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return RemapDelta(*std::move(delta), m.report.kept);
-  }
-
+/// IncDect's engine body on an already validated (and, under
+/// RunMinimized, already minimized) Σ.
+DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
+                      const UpdateBatch& batch, const IncDectOptions& opts) {
   UpdateIndex index(g, batch);
   std::vector<PivotTask> tasks = EnumeratePivotTasks(g, sigma, index);
 
@@ -322,22 +306,19 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
   CancelCheck* cancel = check.active() ? &check : nullptr;
 
   DeltaVio delta;
-  if (opts.spill != nullptr) {
-    VioSpillOptions side = *opts.spill;
-    side.path_prefix = opts.spill->path_prefix + ".add";
-    delta.added.EnableSpill(side);
-    side.path_prefix = opts.spill->path_prefix + ".rem";
-    delta.removed.EnableSpill(side);
-  }
+  if (opts.spill != nullptr) delta.EnableSpill(*opts.spill);
+  // A rule's delta is complete only when all its pivot tasks ran; the
+  // interrupted task and everything after it mark their rules.
+  auto mark_truncated_from = [&](size_t t) {
+    info->truncated = true;
+    for (size_t r = t; r < tasks.size(); ++r) {
+      info->rule_completed[static_cast<size_t>(tasks[r].ngd_index)] = 0;
+    }
+  };
   for (size_t t = 0; t < tasks.size(); ++t) {
     const PivotTask& task = tasks[t];
     if (cancel != nullptr && cancel->ShouldStop()) {
-      // A rule's delta is complete only when all its pivot tasks ran; the
-      // interrupted task and everything after it mark their rules.
-      info->truncated = true;
-      for (size_t r = t; r < tasks.size(); ++r) {
-        info->rule_completed[static_cast<size_t>(tasks[r].ngd_index)] = 0;
-      }
+      mark_truncated_from(t);
       break;
     }
     if (area.has_value() && !area->RuleCanMatch(task.ngd_index)) continue;
@@ -393,14 +374,27 @@ StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
                       return true;
                     });
     if (cancel != nullptr && cancel->Stopped()) {
-      info->truncated = true;
-      for (size_t r = t; r < tasks.size(); ++r) {
-        info->rule_completed[static_cast<size_t>(tasks[r].ngd_index)] = 0;
-      }
+      mark_truncated_from(t);
       break;
     }
   }
   return delta;
+}
+
+}  // namespace
+
+StatusOr<DeltaVio> IncDect(const Graph& g, const NgdSet& sigma,
+                           const UpdateBatch& batch,
+                           const IncDectOptions& opts) {
+  // Validate the full Σ before minimizing, so rejection behavior matches
+  // the oracle even when the offending rule would have been dropped.
+  NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
+  return RunMinimized(
+      sigma, g.schema(), opts,
+      [&](const NgdSet& rules, const IncDectOptions& o) {
+        return IncDectRules(g, rules, batch, o);
+      },
+      RemapDelta);
 }
 
 }  // namespace ngd

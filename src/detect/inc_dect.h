@@ -182,7 +182,12 @@ class AffectedArea {
   std::vector<bool> rule_can_match_;
 };
 
-struct IncDectOptions {
+/// Incremental-engine options; the shared contract (Σ-minimization,
+/// cancel/deadline, run_info, spill) is DetectControl. Under
+/// minimization dropped rules spawn no pivot tasks, and since per-rule
+/// deltas are independent the kept rules' deltas are exact. A
+/// cancelled/deadlined run returns the ΔVio prefix found so far.
+struct IncDectOptions : DetectControl {
   /// Mirrors DectOptions::snapshot_mode for the incremental path:
   ///   kNever  — match the live overlay graph (the pre-DeltaView engine,
   ///             kept as the equivalence oracle and benchmark baseline);
@@ -200,24 +205,6 @@ struct IncDectOptions {
   /// Enable the AffectedArea prefilter + per-rule search scope. Off
   /// reproduces the pre-prefilter engine exactly (the oracle config).
   bool affected_area_prefilter = true;
-  /// Σ-optimizer (reason/sigma_optimizer.h): kAlways/kAuto run the pivot
-  /// machinery on the implication-minimized rule set — dropped rules spawn
-  /// no pivot tasks at all — and remap ΔVio indices back to Σ. Per-rule
-  /// deltas are independent, so kept-rule deltas are preserved exactly.
-  /// kNever (default) is the oracle.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation (see DectOptions): cancelled/deadlined runs
-  /// return the ΔVio prefix found so far; `run_info` reports `truncated`
-  /// and which rules' deltas are complete (a rule is complete when every
-  /// one of its pivot tasks finished).
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: ΔVio+ spills under "<path_prefix>.add", ΔVio-
-  /// under "<path_prefix>.rem" (see DectOptions::spill and
-  /// detect/vio_stream.h).
-  const VioSpillOptions* spill = nullptr;
 };
 
 /// The kAuto cost model: true when the depth-1 frontier the pivot tasks

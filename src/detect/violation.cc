@@ -250,6 +250,19 @@ std::vector<Violation> VioSet::Sorted() const {
   return out;
 }
 
+void DeltaVio::EnableSpill(const VioSpillOptions& opts) {
+  VioSpillOptions side = opts;
+  side.path_prefix = opts.path_prefix + ".add";
+  added.EnableSpill(side);
+  side.path_prefix = opts.path_prefix + ".rem";
+  removed.EnableSpill(side);
+}
+
+void DeltaVio::MergeDisjointUnchecked(DeltaVio&& other) {
+  added.MergeDisjointUnchecked(std::move(other.added));
+  removed.MergeDisjointUnchecked(std::move(other.removed));
+}
+
 VioSet ApplyDelta(const VioSet& base, const DeltaVio& delta) {
   VioSet result;
   for (const auto& v : base.items()) {

@@ -354,6 +354,32 @@ struct DeltaVio {
   VioSet removed;
 
   bool empty() const { return added.empty() && removed.empty(); }
+
+  /// Spills ΔVio+ under "<path_prefix>.add" and ΔVio- under
+  /// "<path_prefix>.rem", each with the full budget.
+  void EnableSpill(const VioSpillOptions& opts);
+
+  /// VioSet::MergeDisjointUnchecked on both halves.
+  void MergeDisjointUnchecked(DeltaVio&& other);
+};
+
+/// Honest-partial-result report of one detection run (all engines). When
+/// a run is cancelled or hits its deadline it returns the violations
+/// found so far with `truncated` set; `rule_completed[f]` says whether
+/// rule f's enumeration finished, i.e. whether its reported violations
+/// are the complete set for that rule. An untruncated run marks every
+/// rule completed. Under Σ-minimization the marks are remapped to the
+/// caller's catalog through the implication cover: a dropped (implied)
+/// rule counts completed exactly when every rule that (transitively)
+/// implied it finished enumerating (see RemapRunInfo).
+struct DetectRunInfo {
+  bool truncated = false;
+  std::vector<char> rule_completed;  // indexed by the caller's Σ
+
+  void StartFull(size_t num_rules) {
+    truncated = false;
+    rule_completed.assign(num_rules, 1);
+  }
 };
 
 /// Vio(Σ, G ⊕ ΔG) = (Vio(Σ, G) ∪ ΔVio+) \ ΔVio-. The paper's correctness

@@ -5,7 +5,8 @@
 // 269 / 11) and synthetic graphs with |L| = 500 labels and 2000 integer
 // values. Those datasets are not redistributable here, so each preset
 // below reproduces a graph family with the same label-alphabet sizes,
-// density and skew, at a configurable scale (see DESIGN.md §3). All
+// density and skew, at a configurable scale (see EXPERIMENTS.md §1
+// "Scale mapping"). All
 // detection algorithms are driven by exactly these statistics — label
 // selectivity, degree distribution, d-hop neighborhood size — so the
 // relative behaviour (Fig. 4 shapes) is preserved.

@@ -20,7 +20,9 @@
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
 // PIncDect uses the pool with fragment ownership for pivot placement and
 // the paper's skew balancer layered on top (its candidate neighborhood
-// N_C is replicated at every processor, so its units run anywhere).
+// N_C is replicated at every processor, so its units run anywhere). Both
+// keep their per-call worker results, cancel broadcast and completion
+// accounting in one ParallelRun.
 
 #ifndef NGD_PARALLEL_CLUSTER_H_
 #define NGD_PARALLEL_CLUSTER_H_
@@ -31,11 +33,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "detect/dect.h"
 #include "parallel/fragment.h"
 #include "util/cancel.h"
 #include "util/thread_annotations.h"
@@ -319,6 +324,127 @@ class WorkStealingPool {
   std::function<void(int, T&)> process_;
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> done_{false};
+};
+
+/// Per-call state both parallel engines share, built once from their
+/// DetectControl. `Local` is the worker-local result: VioSet (PDect) or
+/// DeltaVio (PIncDect). It holds
+///   - p worker-local results, each spilling budget_bytes/p under
+///     "<prefix>.w<i>" when control.spill is set;
+///   - the cancel broadcast: every worker polls one shared token, so a
+///     deadline tripped by any worker (or an external Cancel) stops all
+///     of them; with only a deadline the run owns the token;
+///   - per-rule outstanding work-unit counts: a unit retires its count
+///     only when it was processed to the end, so any unit drained
+///     unprocessed by a cancelled pool — or aborted mid-expansion —
+///     leaves its rule incomplete in run_info;
+///   - the pool-exit handoff of finished worker results to a guarded
+///     merge list.
+template <typename Local>
+class ParallelRun {
+ public:
+  ParallelRun(int p, size_t num_rules, const DetectControl& control)
+      : spill_(control.spill),
+        run_info_(control.run_info),
+        num_rules_(num_rules),
+        local_(p),
+        pending_(std::make_unique<std::atomic<uint32_t>[]>(num_rules)) {
+    if (spill_ != nullptr) {
+      VioSpillOptions share = *spill_;
+      share.budget_bytes = spill_->budget_bytes / static_cast<size_t>(p);
+      for (int i = 0; i < p; ++i) {
+        share.path_prefix = spill_->path_prefix + ".w" + std::to_string(i);
+        local_[i].EnableSpill(share);
+      }
+    }
+    if (control.cancel != nullptr || control.deadline.armed()) {
+      token_ = control.cancel != nullptr ? control.cancel : &owned_token_;
+      checks_.reserve(p);
+      for (int i = 0; i < p; ++i) checks_.emplace_back(token_, control.deadline);
+    }
+    for (size_t r = 0; r < num_rules; ++r) {
+      pending_[r].store(0, std::memory_order_relaxed);
+    }
+  }
+
+  // Workers hold its address for the whole pool run.
+  ParallelRun(const ParallelRun&) = delete;
+  ParallelRun& operator=(const ParallelRun&) = delete;
+
+  /// The broadcast token for WorkStealingPool::Run; null when the run is
+  /// not cancellable (zero-option runs never touch the checks).
+  const CancelToken* token() const { return token_; }
+  /// Worker `w`'s check, or null when the run is not cancellable.
+  CancelCheck* check(int worker) {
+    return token_ != nullptr ? &checks_[worker] : nullptr;
+  }
+  /// Worker `w`'s result: written only by worker w's thread while the
+  /// pool runs (backpressured inline runs execute on the producing
+  /// worker, so confinement holds), then handed off by RetireWorker.
+  Local& local(int worker) { return local_[worker]; }
+
+  /// A work unit of `rule` was born (seeded, forwarded, split, spawned).
+  void AddPending(int rule) {
+    pending_[rule].fetch_add(1, std::memory_order_relaxed);
+  }
+  /// A work unit of `rule` was fully processed (its children carry their
+  /// own counts).
+  void Retire(int rule) {
+    pending_[rule].fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Pool-exit handoff (WorkStealingPool::Run's worker_finish): worker
+  /// `w` moves its finished result into the guarded merge list on its own
+  /// thread — an explicit critical section the thread-safety analysis can
+  /// check, instead of an implicit reliance on join-order visibility.
+  void RetireWorker(int worker) NGD_EXCLUDES(merge_mu_) {
+    MutexLock lock(&merge_mu_);
+    finished_.emplace_back(worker, std::move(local_[worker]));
+  }
+
+  /// Concatenates the finished worker results, which both engines keep
+  /// globally disjoint, so the merge is rehash-free. Worker completion
+  /// order is nondeterministic; merging in worker order keeps the result
+  /// arena layout identical run to run. Spill on the result is enabled
+  /// first, so it keeps spilling under the caller's prefix and full
+  /// budget rather than inheriting worker 0's share.
+  Local MergeFinished() NGD_EXCLUDES(merge_mu_) {
+    Local merged;
+    if (spill_ != nullptr) merged.EnableSpill(*spill_);
+    MutexLock lock(&merge_mu_);
+    std::sort(finished_.begin(), finished_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (auto& f : finished_) merged.MergeDisjointUnchecked(std::move(f.second));
+    finished_.clear();
+    return merged;
+  }
+
+  /// Fills control.run_info (when set) from the pending counts after the
+  /// pool drained; returns whether the run was truncated.
+  bool FinishRunInfo() const {
+    DetectRunInfo local_info;
+    DetectRunInfo* info = run_info_ != nullptr ? run_info_ : &local_info;
+    info->StartFull(num_rules_);
+    for (size_t r = 0; r < num_rules_; ++r) {
+      if (pending_[r].load(std::memory_order_relaxed) != 0) {
+        info->rule_completed[r] = 0;
+        info->truncated = true;
+      }
+    }
+    return info->truncated;
+  }
+
+ private:
+  const VioSpillOptions* const spill_;
+  DetectRunInfo* const run_info_;
+  const size_t num_rules_;
+  std::vector<Local> local_;
+  Mutex merge_mu_;
+  std::vector<std::pair<int, Local>> finished_ NGD_GUARDED_BY(merge_mu_);
+  CancelToken owned_token_;
+  CancelToken* token_ = nullptr;
+  std::vector<CancelCheck> checks_;  // one per worker
+  std::unique_ptr<std::atomic<uint32_t>[]> pending_;
 };
 
 /// The fragmented graph: p FragmentSnapshots over one Partition. Owns the

@@ -1,4 +1,5 @@
-// Streaming edge-cut graph partitioner (the METIS stand-in, DESIGN.md §3).
+// Streaming edge-cut graph partitioner (the METIS stand-in; EXPERIMENTS.md
+// §1 "Scale mapping").
 //
 // PIncDect/PDect work on a graph fragmented across p processors (paper §7
 // fragments with METIS). The algorithms only depend on fragment locality

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <optional>
-#include <thread>
 
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace ngd {
@@ -46,32 +43,7 @@ class FragmentDectEngine {
         p_(rt.num_fragments()),
         pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
               opts.max_queue_depth),
-        local_(p_) {
-    // Streaming results: each worker-local set spills under its own
-    // prefix with an equal share of the budget; the merged result set
-    // adopts all worker segments and keeps spilling under the main
-    // prefix (EnableSpill before the merge in Run()).
-    if (opts.spill != nullptr) {
-      VioSpillOptions wopts = *opts.spill;
-      wopts.budget_bytes = opts.spill->budget_bytes / static_cast<size_t>(p_);
-      for (int i = 0; i < p_; ++i) {
-        wopts.path_prefix = opts.spill->path_prefix + ".w" + std::to_string(i);
-        local_[i].EnableSpill(wopts);
-      }
-    }
-    // Cancellation: every worker polls one shared token so a deadline
-    // tripped by any worker (or an external Cancel) stops all of them.
-    // When only a deadline is given the engine owns the broadcast token.
-    if (opts.cancel != nullptr || opts.deadline.armed()) {
-      token_ = opts.cancel != nullptr ? opts.cancel : &owned_token_;
-      checks_.reserve(p_);
-      for (int i = 0; i < p_; ++i) checks_.emplace_back(token_, opts.deadline);
-    }
-    pending_ = std::make_unique<std::atomic<uint32_t>[]>(sigma.size());
-    for (size_t r = 0; r < sigma.size(); ++r) {
-      pending_[r].store(0, std::memory_order_relaxed);
-    }
-  }
+        run_(p_, sigma.size(), opts) {}
 
   PDectResult Run(const GraphAccessor& global) {
     metrics_.replicated_nodes.fetch_add(rt_.total_halo_nodes(),
@@ -104,60 +76,29 @@ class FragmentDectEngine {
           u.home = f;
           u.chunk_begin = static_cast<uint32_t>(b);
           u.chunk_end = static_cast<uint32_t>(std::min(b + chunk, count));
-          pending_[r].fetch_add(1, std::memory_order_relaxed);
+          run_.AddPending(static_cast<int>(r));
           pool_.Seed(f, std::move(u));
         }
       }
     }
 
-    // Each worker hands its local set to the guarded merge list on its
-    // own thread as it exits the pool — an explicit critical section the
-    // thread-safety analysis can check, instead of an implicit reliance
-    // on join-order visibility of local_[i].
     pool_.Run([this](int worker, PUnit& unit) { ProcessUnit(worker, unit); },
-              []() {}, token_, [this](int worker) { RetireWorker(worker); });
+              []() {}, run_.token(),
+              [this](int worker) { run_.RetireWorker(worker); });
 
     PDectResult result;
-    // Owner-computes seeding keeps per-worker sets globally disjoint, so
-    // the merge is a rehash-free arena concatenation. Enabling spill on
-    // the result first keeps the merged set under the caller's prefix and
-    // full budget (rather than inheriting worker 0's ".w0" share).
-    if (opts_.spill != nullptr) result.vio.EnableSpill(*opts_.spill);
-    {
-      MutexLock lock(&merge_mu_);
-      // Worker completion order is nondeterministic; merging in worker
-      // order keeps the result arena layout identical run to run.
-      std::sort(finished_.begin(), finished_.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (auto& f : finished_) {
-        result.vio.MergeDisjointUnchecked(std::move(f.second));
-      }
-      finished_.clear();
-    }
+    // Owner-computes seeding keeps per-worker sets globally disjoint.
+    result.vio = run_.MergeFinished();
     result.crossing_edges = rt_.partition().crossing_edges;
     result.fragments = p_;
     result.metrics = SnapshotOf(metrics_);
-    // Per-rule completion: a unit retires its pending count only when it
-    // was processed to the end, so any unit drained unprocessed by the
-    // cancelled pool — or aborted mid-expansion — leaves its rule marked
-    // incomplete.
-    DetectRunInfo local_info;
-    DetectRunInfo* info =
-        opts_.run_info != nullptr ? opts_.run_info : &local_info;
-    info->StartFull(sigma_.size());
-    for (size_t r = 0; r < sigma_.size(); ++r) {
-      if (pending_[r].load(std::memory_order_relaxed) != 0) {
-        info->rule_completed[r] = 0;
-        info->truncated = true;
-      }
-    }
-    result.truncated = info->truncated;
+    result.truncated = run_.FinishRunInfo();
     return result;
   }
 
  private:
   void ProcessUnit(int worker, PUnit& unit) {
-    CancelCheck* check = token_ != nullptr ? &checks_[worker] : nullptr;
+    CancelCheck* check = run_.check(worker);
     if (check != nullptr && check->ShouldStop()) {
       return;  // dropped: the unit's pending count keeps its rule incomplete
     }
@@ -194,8 +135,7 @@ class FragmentDectEngine {
       metrics_.messages.fetch_add(halo_scans, std::memory_order_relaxed);
     }
     if (check == nullptr || !check->Stopped()) {
-      // Fully processed (spawned children carry their own pending counts).
-      pending_[unit.ngd].fetch_sub(1, std::memory_order_relaxed);
+      run_.Retire(unit.ngd);
     }
   }
 
@@ -243,7 +183,7 @@ class FragmentDectEngine {
       // Owner-computes seeding plus disjoint slice splits make the
       // per-worker sets globally duplicate-free, so the append skips
       // the hash probe.
-      local_[worker].AppendUnchecked(r, binding.data(), binding.size());
+      run_.local(worker).AppendUnchecked(r, binding.data(), binding.size());
       return;
     }
     const Pattern& pattern = ngd.pattern();
@@ -279,7 +219,7 @@ class FragmentDectEngine {
         u.y_false = y_false;
         u.y_ready = y_ready;
         u.binding = binding;
-        pending_[r].fetch_add(1, std::memory_order_relaxed);
+        run_.AddPending(r);
         pool_.Forward(worker, u.home, std::move(u));
         return;
       }
@@ -303,7 +243,7 @@ class FragmentDectEngine {
           s.y_false = y_false;
           s.y_ready = y_ready;
           s.binding = binding;
-          pending_[r].fetch_add(1, std::memory_order_relaxed);
+          run_.AddPending(r);
           pool_.Spawn(worker, i, std::move(s));
         }
         return;
@@ -362,219 +302,51 @@ class FragmentDectEngine {
     return static_cast<size_t>(it - frag.halo.begin());
   }
 
-  /// Pool-exit handoff: worker `w` moves its finished local set into the
-  /// guarded merge list. local_[w] is written only by worker w's thread
-  /// (backpressured inline runs execute on the producing worker, so
-  /// confinement holds), making the move race-free by construction.
-  void RetireWorker(int worker) NGD_EXCLUDES(merge_mu_) {
-    MutexLock lock(&merge_mu_);
-    finished_.emplace_back(worker, std::move(local_[worker]));
-  }
-
   const NgdSet& sigma_;
   const PDectOptions& opts_;
   const FragmentRuntime& rt_;
   const int p_;
   ClusterMetrics metrics_;
   WorkStealingPool<PUnit> pool_;
-  /// Worker-local result sets: slot i is thread-confined to worker i
-  /// while the pool runs, then handed off via RetireWorker.
-  std::vector<VioSet> local_;
-  Mutex merge_mu_;
-  std::vector<std::pair<int, VioSet>> finished_ NGD_GUARDED_BY(merge_mu_);
+  ParallelRun<VioSet> run_;
   std::vector<int> start_of_;
   std::vector<LabelId> start_label_;
   std::vector<MatchPlan> plans_;
-  /// Cancellation state: null token_ = not cancellable (zero-option runs
-  /// never touch the checks). Deadline trips broadcast through the token.
-  CancelToken owned_token_;
-  CancelToken* token_ = nullptr;
-  std::vector<CancelCheck> checks_;  // one per worker
-  /// Per-rule outstanding work units; nonzero after the pool drains means
-  /// some unit of that rule was dropped or aborted → rule incomplete.
-  std::unique_ptr<std::atomic<uint32_t>[]> pending_;
 };
-
-/// The legacy shared-memory path: static owner-computes seed assignment
-/// over one caller-supplied CSR snapshot every worker reads. No halos, no
-/// communication accounting (a shared-memory machine has neither).
-PDectResult SharedSnapshotPDect(const Graph& g, const NgdSet& sigma,
-                                const PDectOptions& opts) {
-  WallTimer timer;
-  const int p = std::max(1, opts.num_processors);
-  Partition partition = PartitionGraph(g, p, opts.view);
-  const GraphAccessor acc(*opts.snapshot);
-
-  struct Seed {
-    int ngd_index;
-    int start;
-    NodeId node;
-  };
-  std::vector<std::vector<Seed>> assigned(p);
-  std::vector<int> start_of(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const Pattern& pattern = sigma[f].pattern();
-    const int start = ChooseStartNode(pattern, acc);
-    start_of[f] = start;
-    ForEachCandidate(acc, pattern.node(start).label, [&](NodeId v) {
-      assigned[partition.fragment_of[v]].push_back(
-          Seed{static_cast<int>(f), start, v});
-      return true;
-    });
-  }
-
-  std::vector<MatchPlan> plans;
-  plans.reserve(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    plans.push_back(BuildMatchPlan(sigma[f].pattern(), {start_of[f]},
-                                   &sigma[f].X(), &sigma[f].Y()));
-  }
-
-  // Cancellation: one shared broadcast token, one CancelCheck per worker.
-  CancelToken owned_token;
-  CancelToken* token = opts.cancel;
-  if (token == nullptr && opts.deadline.armed()) token = &owned_token;
-  auto rule_ok = std::make_unique<std::atomic<uint8_t>[]>(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    rule_ok[r].store(1, std::memory_order_relaxed);
-  }
-
-  ClusterMetrics metrics;
-  std::vector<VioSet> local(p);
-  // Finished worker sets, handed off under a real lock at worker exit
-  // (see FragmentDectEngine::RetireWorker for the rationale).
-  struct MergeState {
-    Mutex mu;
-    std::vector<std::pair<int, VioSet>> finished NGD_GUARDED_BY(mu);
-  } merge;
-  if (opts.spill != nullptr) {
-    VioSpillOptions wopts = *opts.spill;
-    wopts.budget_bytes = opts.spill->budget_bytes / static_cast<size_t>(p);
-    for (int i = 0; i < p; ++i) {
-      wopts.path_prefix = opts.spill->path_prefix + ".w" + std::to_string(i);
-      local[i].EnableSpill(wopts);
-    }
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(p);
-  for (int i = 0; i < p; ++i) {
-    workers.emplace_back([&, i]() {
-      CancelCheck check(token, opts.deadline);
-      CancelCheck* cancel = check.active() ? &check : nullptr;
-      for (size_t s = 0; s < assigned[i].size(); ++s) {
-        if (cancel != nullptr && cancel->ShouldStop()) {
-          // Unprocessed seeds leave their rules incomplete.
-          for (size_t rest = s; rest < assigned[i].size(); ++rest) {
-            rule_ok[assigned[i][rest].ngd_index].store(
-                0, std::memory_order_relaxed);
-          }
-          break;
-        }
-        const Seed& seed = assigned[i][s];
-        metrics.work_units.fetch_add(1, std::memory_order_relaxed);
-        const Ngd& ngd = sigma[seed.ngd_index];
-        SearchConfig cfg;
-        cfg.graph = &g;
-        cfg.snapshot = opts.snapshot;
-        cfg.pattern = &ngd.pattern();
-        cfg.x = &ngd.X();
-        cfg.y = &ngd.Y();
-        cfg.view = opts.view;
-        cfg.find_violations = true;
-        cfg.cancel = cancel;
-        Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-        binding[seed.start] = seed.node;
-        RunSeededSearch(cfg, plans[seed.ngd_index], &binding,
-                        [&](const Binding& match) {
-                          // Each (rule, seed) pair is assigned to exactly
-                          // one worker and seeded expansion never repeats
-                          // a binding, so the append skips the hash probe.
-                          local[i].AppendUnchecked(seed.ngd_index,
-                                                   match.data(), match.size());
-                          return true;
-                        });
-        if (cancel != nullptr && cancel->Stopped()) {
-          rule_ok[seed.ngd_index].store(0, std::memory_order_relaxed);
-        }
-      }
-      MutexLock lock(&merge.mu);
-      merge.finished.emplace_back(i, std::move(local[i]));
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  PDectResult result;
-  // Per-worker sets are globally disjoint (seed ownership), so the merge
-  // is a rehash-free arena concatenation (result spill first — see the
-  // fragment-native path).
-  if (opts.spill != nullptr) result.vio.EnableSpill(*opts.spill);
-  {
-    MutexLock lock(&merge.mu);
-    std::sort(merge.finished.begin(), merge.finished.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& f : merge.finished) {
-      result.vio.MergeDisjointUnchecked(std::move(f.second));
-    }
-  }
-  result.crossing_edges = partition.crossing_edges;
-  result.fragments = p;
-  result.metrics = SnapshotOf(metrics);
-  result.elapsed_seconds = timer.ElapsedSeconds();
-  DetectRunInfo local_info;
-  DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
-  info->StartFull(sigma.size());
-  for (size_t r = 0; r < sigma.size(); ++r) {
-    if (rule_ok[r].load(std::memory_order_relaxed) == 0) {
-      info->rule_completed[r] = 0;
-      info->truncated = true;
-    }
-  }
-  result.truncated = info->truncated;
-  return result;
-}
 
 }  // namespace
 
 PDectResult PDect(const Graph& g, const NgdSet& sigma,
                   const PDectOptions& opts) {
-  // Σ-optimizer wiring: minimize before fragment seeding, so dropped
-  // rules never spawn work units. elapsed_seconds of the re-entry covers
-  // the parallel detection itself; the (cached, amortized) minimization
-  // cost is the caller's setup, as with runtime builds.
-  PDectOptions inner;
-  MinimizedSigma m;
-  if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-    DetectRunInfo inner_info;
-    inner.run_info = &inner_info;
-    PDectResult result = PDect(g, m.sigma, inner);
-    result.vio = RemapViolations(std::move(result.vio), m.report.kept);
-    if (opts.run_info != nullptr) {
-      RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-    }
-    return result;
-  }
-
-  if (opts.snapshot != nullptr) return SharedSnapshotPDect(g, sigma, opts);
-
-  WallTimer timer;
-  const int p = std::max(1, opts.num_processors);
-  const int d_sigma = sigma.MaxDiameter();
-
-  // Reuse a caller-supplied runtime when it matches; otherwise fragment
-  // here (the clock includes it — a cold start really pays it; callers
-  // that care pre-build and pass opts.runtime).
-  std::optional<FragmentRuntime> owned_rt;
-  const FragmentRuntime* rt = opts.runtime;
-  if (rt == nullptr || rt->num_fragments() != p || rt->view() != opts.view ||
-      rt->halo_hops() < d_sigma) {
-    owned_rt.emplace(g, p, opts.view, d_sigma);
-    rt = &*owned_rt;
-  }
-
-  FragmentDectEngine engine(sigma, opts, *rt);
-  PDectResult result = engine.Run(GraphAccessor(g, opts.view));
-  result.elapsed_seconds = timer.ElapsedSeconds();
-  return result;
+  // Σ-minimization runs before fragment seeding, so dropped rules never
+  // spawn work units. elapsed_seconds covers the parallel detection
+  // itself; the (cached, amortized) minimization cost is the caller's
+  // setup, as with runtime builds.
+  return RunMinimized(
+      sigma, g.schema(), opts,
+      [&g](const NgdSet& rules, const PDectOptions& o) {
+        WallTimer timer;
+        const int p = std::max(1, o.num_processors);
+        const int d_sigma = rules.MaxDiameter();
+        // Reuse a caller-supplied runtime when it matches; otherwise
+        // fragment here (the clock includes it — a cold start really pays
+        // it; callers that care pre-build and pass o.runtime).
+        std::optional<FragmentRuntime> owned_rt;
+        const FragmentRuntime* rt = o.runtime;
+        if (rt == nullptr || rt->num_fragments() != p ||
+            rt->view() != o.view || rt->halo_hops() < d_sigma) {
+          owned_rt.emplace(g, p, o.view, d_sigma);
+          rt = &*owned_rt;
+        }
+        FragmentDectEngine engine(rules, o, *rt);
+        PDectResult result = engine.Run(GraphAccessor(g, o.view));
+        result.elapsed_seconds = timer.ElapsedSeconds();
+        return result;
+      },
+      [](PDectResult result, const std::vector<int>& kept) {
+        result.vio = RemapViolations(std::move(result.vio), kept);
+        return result;
+      });
 }
 
 }  // namespace ngd

@@ -31,15 +31,15 @@
 
 namespace ngd {
 
-struct PDectOptions {
+/// PDect options: the shared contract (Σ-minimization, cancel/deadline,
+/// run_info, spill) is DetectControl; the fields here tune the fragment
+/// runtime and the §7 hybrid policy. Under minimization fragments seed
+/// from the kept rules only (dropped rules spawn no work units). A
+/// cancelled or deadlined run returns the violations its workers found
+/// before the stop.
+struct PDectOptions : DetectControl {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
-  /// Pre-built shared CSR snapshot (e.g. loaded from a binary snapshot
-  /// file): selects the LEGACY shared-memory path — static owner-computes
-  /// seed assignment over one snapshot all workers read, no halos, no
-  /// communication accounting. Kept for callers that already hold a full
-  /// snapshot (ngdcheck) and as the shared-memory baseline.
-  const GraphSnapshot* snapshot = nullptr;
   /// Pre-built fragment runtime to amortize partitioning + fragment CSR
   /// builds across calls (benchmarks, warm starts via FragmentRuntime::
   /// Load). Used when it matches: num_fragments == num_processors, same
@@ -58,26 +58,6 @@ struct PDectOptions {
   bool enable_steal = true;    ///< idle workers steal across fragments
   bool enable_forward = true;  ///< hybrid forward-to-owner at halos
   bool enable_split = true;    ///< work-unit splitting of hub adjacency
-  /// Σ-optimizer (reason/sigma_optimizer.h): kAlways/kAuto seed fragments
-  /// from the implication-minimized rule set only (dropped rules spawn no
-  /// work units) and remap violation indices back to Σ.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation (see DectOptions): when the token trips or the
-  /// deadline expires, workers stop expanding and the pool drains the
-  /// remaining queued units unprocessed. The call returns the violations
-  /// found so far with `truncated` set; `run_info` (optional, must
-  /// outlive the call) reports which rules' enumerations still finished —
-  /// a rule is complete when every one of its work units (seed chunks,
-  /// forwards, splits) was fully processed.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: each worker-local set spills under
-  /// "<path_prefix>.w<i>" with budget_bytes/p, and the merged result
-  /// keeps spilling under "<path_prefix>" (see DectOptions::spill and
-  /// detect/vio_stream.h). Read result.vio back with OpenCursor.
-  const VioSpillOptions* spill = nullptr;
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under
@@ -96,8 +76,7 @@ struct PDectResult {
   int fragments = 1;          ///< p actually used
   /// Communication / balancing counters. replicated_nodes = Σ_f |halo(f)|
   /// (actual replica volume); messages = halo scans + forwards + steals +
-  /// split broadcasts. Zero on the legacy shared-snapshot path, which
-  /// models a shared-memory machine.
+  /// split broadcasts.
   ClusterMetricsSnapshot metrics;
 };
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "graph/neighborhood.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace ngd {
@@ -29,38 +26,10 @@ class PIncDectEngine {
         nc_(0),
         pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
               opts.max_queue_depth),
-        local_added_(p_),
-        local_removed_(p_) {
-    // Streaming results: each worker-local delta half spills under its
-    // own prefix with an equal share of the budget; the merged delta
-    // adopts the segments under ".add"/".rem" (see Run()).
-    if (opts.spill != nullptr) {
-      VioSpillOptions wopts = *opts.spill;
-      wopts.budget_bytes = opts.spill->budget_bytes / static_cast<size_t>(p_);
-      for (int i = 0; i < p_; ++i) {
-        wopts.path_prefix =
-            opts.spill->path_prefix + ".add.w" + std::to_string(i);
-        local_added_[i].EnableSpill(wopts);
-        wopts.path_prefix =
-            opts.spill->path_prefix + ".rem.w" + std::to_string(i);
-        local_removed_[i].EnableSpill(wopts);
-      }
-    }
-    // Cancellation: one shared broadcast token (engine-owned when only a
-    // deadline is given), one CancelCheck per worker.
-    if (opts.cancel != nullptr || opts.deadline.armed()) {
-      token_ = opts.cancel != nullptr ? opts.cancel : &owned_token_;
-      checks_.reserve(p_);
-      for (int i = 0; i < p_; ++i) checks_.emplace_back(token_, opts.deadline);
-    }
-    pending_ = std::make_unique<std::atomic<uint32_t>[]>(sigma.size());
-    for (size_t r = 0; r < sigma.size(); ++r) {
-      pending_[r].store(0, std::memory_order_relaxed);
-    }
-  }
+        run_(p_, sigma.size(), opts) {}
 
-  StatusOr<PIncDectResult> Run() {
-    NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma_));
+  /// Runs on a validated Σ (PIncDect validates before minimizing).
+  PIncDectResult Run() {
     WallTimer timer;
 
     // Step 1: pivots, prefiltered by the per-rule affected area (rules
@@ -153,7 +122,7 @@ class PIncDectEngine {
           target = rt->OwnerOf(u.edge.src);
         }
         unit.home_fragment = target;
-        pending_[t.ngd_index].fetch_add(1, std::memory_order_relaxed);
+        run_.AddPending(t.ngd_index);
         pool_.Seed(target, std::move(unit));
         ++i;
       }
@@ -164,9 +133,6 @@ class PIncDectEngine {
     {
       using namespace std::chrono;
       auto last_balance = steady_clock::now();
-      // Workers hand their local delta halves to the guarded merge list
-      // on their own threads as they exit the pool — an explicit critical
-      // section instead of join-order visibility (see PDect).
       pool_.Run(
           [this](int worker, PWorkUnit& unit) { ProcessUnit(worker, unit); },
           [&]() {
@@ -179,56 +145,17 @@ class PIncDectEngine {
             last_balance = now;
             BalanceOnce();
           },
-          token_, [this](int worker) { RetireWorker(worker); });
+          run_.token(), [this](int worker) { run_.RetireWorker(worker); });
     }
 
     PIncDectResult result;
-    // Per-worker deltas are globally disjoint (exactly-once canonical
-    // emission), so the merges are rehash-free arena concatenations.
-    // Result-side spill first, so the merged halves keep the caller's
-    // ".add"/".rem" prefixes and full budget shares.
-    if (opts_.spill != nullptr) {
-      VioSpillOptions side = *opts_.spill;
-      side.path_prefix = opts_.spill->path_prefix + ".add";
-      result.delta.added.EnableSpill(side);
-      side.path_prefix = opts_.spill->path_prefix + ".rem";
-      result.delta.removed.EnableSpill(side);
-    }
-    {
-      MutexLock lock(&merge_mu_);
-      // Worker-order merge keeps the result arenas deterministic.
-      std::sort(finished_.begin(), finished_.end(),
-                [](const FinishedDelta& a, const FinishedDelta& b) {
-                  return a.worker < b.worker;
-                });
-      for (auto& f : finished_) {
-        result.delta.added.MergeDisjointUnchecked(std::move(f.added));
-        result.delta.removed.MergeDisjointUnchecked(std::move(f.removed));
-      }
-      finished_.clear();
-    }
+    // Exactly-once canonical emission keeps per-worker deltas globally
+    // disjoint.
+    result.delta = run_.MergeFinished();
     result.candidate_neighborhood_nodes = nc_.size();
-    result.messages = metrics_.messages.load();
-    result.replicated_nodes = metrics_.replicated_nodes.load();
-    result.work_units = metrics_.work_units.load();
-    result.splits = metrics_.splits.load();
-    result.balance_moves = metrics_.balance_moves.load();
-    result.steals = metrics_.steals.load();
+    result.metrics = SnapshotOf(metrics_);
     result.elapsed_seconds = timer.ElapsedSeconds();
-    // Per-rule completion: units retire their pending count only when
-    // fully processed, so anything drained unprocessed by a cancelled
-    // pool — or aborted mid-expansion — leaves its rule incomplete.
-    DetectRunInfo local_info;
-    DetectRunInfo* info =
-        opts_.run_info != nullptr ? opts_.run_info : &local_info;
-    info->StartFull(sigma_.size());
-    for (size_t r = 0; r < sigma_.size(); ++r) {
-      if (pending_[r].load(std::memory_order_relaxed) != 0) {
-        info->rule_completed[r] = 0;
-        info->truncated = true;
-      }
-    }
-    result.truncated = info->truncated;
+    result.truncated = run_.FinishRunInfo();
     return result;
   }
 
@@ -270,7 +197,7 @@ class PIncDectEngine {
   }
 
   void ProcessUnit(int worker, PWorkUnit& unit) {
-    CancelCheck* check = token_ != nullptr ? &checks_[worker] : nullptr;
+    CancelCheck* check = run_.check(worker);
     if (check != nullptr && check->ShouldStop()) {
       return;  // dropped: the unit's pending count keeps its rule incomplete
     }
@@ -295,18 +222,12 @@ class PIncDectEngine {
     // already passed it).
     if (unit.depth == 0 && unit.slice_begin < 0) {
       if (!ValidateSeeds(plan, pattern, unit, view, filter)) {
-        Retire(unit);  // fully processed: the pivot never matched
+        run_.Retire(unit.ngd_index);  // fully processed: never matched
         return;
       }
     }
     ExpandUnit(worker, unit, plan, pattern, ngd, u.kind, view, filter, check);
-    if (check == nullptr || !check->Stopped()) Retire(unit);
-  }
-
-  /// A unit retires only on full processing; dropped or aborted units
-  /// leave their rule's pending count nonzero → incomplete.
-  void Retire(const PWorkUnit& unit) {
-    pending_[unit.ngd_index].fetch_sub(1, std::memory_order_relaxed);
+    if (check == nullptr || !check->Stopped()) run_.Retire(unit.ngd_index);
   }
 
   bool ValidateSeeds(const MatchPlan& plan, const Pattern& pattern,
@@ -444,7 +365,7 @@ class PIncDectEngine {
           if (static_cast<size_t>(child.depth) == plan.steps.size()) {
             EmitIfCanonical(worker, child, pattern, kind);
           } else {
-            pending_[child.ngd_index].fetch_add(1, std::memory_order_relaxed);
+            run_.AddPending(child.ngd_index);
             pool_.SpawnLocal(worker, std::move(child));
           }
           return true;
@@ -461,7 +382,7 @@ class PIncDectEngine {
       PWorkUnit slice = unit;
       slice.slice_begin = static_cast<int32_t>(b);
       slice.slice_end = static_cast<int32_t>(std::min(b + chunk, seq_len));
-      pending_[slice.ngd_index].fetch_add(1, std::memory_order_relaxed);
+      run_.AddPending(slice.ngd_index);
       // Spawn, not Seed: mid-run broadcasts respect the depth bound, so a
       // saturated receiver's slice runs inline here (N_C is replicated —
       // any worker can expand any unit).
@@ -484,18 +405,11 @@ class PIncDectEngine {
     // Minimal-pivot canonicality emits each match exactly once per
     // update kind, and disjoint slice splits keep that one emission on a
     // single worker — the append never needs the hash probe.
-    VioSet& target = kind == UpdateKind::kInsert ? local_added_[worker]
-                                                 : local_removed_[worker];
+    DeltaVio& local = run_.local(worker);
+    VioSet& target =
+        kind == UpdateKind::kInsert ? local.added : local.removed;
     target.AppendUnchecked(unit.ngd_index, unit.binding.data(),
                            unit.binding.size());
-  }
-
-  /// Pool-exit handoff (see PDect's RetireWorker): worker `w` moves both
-  /// halves of its finished delta into the guarded merge list.
-  void RetireWorker(int worker) NGD_EXCLUDES(merge_mu_) {
-    MutexLock lock(&merge_mu_);
-    finished_.push_back(FinishedDelta{worker, std::move(local_added_[worker]),
-                                      std::move(local_removed_[worker])});
   }
 
   const Graph& g_;
@@ -510,27 +424,9 @@ class PIncDectEngine {
   GraphAccessor acc_new_;
   NodeSet nc_;
   std::unordered_map<int64_t, MatchPlan> plans_;
-  WorkStealingPool<PWorkUnit> pool_;
-  /// Worker-local delta halves: slot i is thread-confined to worker i
-  /// while the pool runs (inline runs execute on the producing worker),
-  /// then handed off via RetireWorker.
-  std::vector<VioSet> local_added_;
-  std::vector<VioSet> local_removed_;
-  /// One finished worker's delta, moved under merge_mu_ at pool exit.
-  struct FinishedDelta {
-    int worker;
-    VioSet added;
-    VioSet removed;
-  };
-  Mutex merge_mu_;
-  std::vector<FinishedDelta> finished_ NGD_GUARDED_BY(merge_mu_);
   ClusterMetrics metrics_;
-  /// Cancellation state (null token_ = not cancellable) and per-rule
-  /// outstanding work-unit counts (see PDect for the accounting scheme).
-  CancelToken owned_token_;
-  CancelToken* token_ = nullptr;
-  std::vector<CancelCheck> checks_;  // one per worker
-  std::unique_ptr<std::atomic<uint32_t>[]> pending_;
+  WorkStealingPool<PWorkUnit> pool_;
+  ParallelRun<DeltaVio> run_;
 };
 
 }  // namespace
@@ -538,28 +434,19 @@ class PIncDectEngine {
 StatusOr<PIncDectResult> PIncDect(const Graph& g, const NgdSet& sigma,
                                   const UpdateBatch& batch,
                                   const PIncDectOptions& opts) {
-  // Σ-optimizer wiring: validate the full Σ first (rejection behavior
-  // matches the oracle), then run the whole pivot/replicate/balance
-  // pipeline on the minimized set and remap ΔVio back to Σ.
-  if (opts.minimize_sigma != MinimizeMode::kNever) {
-    NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
-    PIncDectOptions inner;
-    MinimizedSigma m;
-    if (BeginMinimizedDetection(sigma, g.schema(), opts, &inner, &m)) {
-      DetectRunInfo inner_info;
-      inner.run_info = &inner_info;
-      auto result = PIncDect(g, m.sigma, batch, inner);
-      if (!result.ok()) return result;
-      result->delta = RemapDelta(std::move(result->delta), m.report.kept);
-      if (opts.run_info != nullptr) {
-        RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
-      }
-      return result;
-    }
-  }
-
-  PIncDectEngine engine(g, sigma, batch, opts);
-  return engine.Run();
+  // Validate the full Σ first (rejection behavior matches the oracle),
+  // then run the whole pivot/replicate/balance pipeline — on the
+  // minimized set when opts.minimize_sigma says so, remapping ΔVio.
+  NGD_RETURN_IF_ERROR(ValidateForIncremental(sigma));
+  return RunMinimized(
+      sigma, g.schema(), opts,
+      [&](const NgdSet& rules, const PIncDectOptions& o) {
+        return PIncDectEngine(g, rules, batch, o).Run();
+      },
+      [](PIncDectResult result, const std::vector<int>& kept) {
+        result.delta = RemapDelta(std::move(result.delta), kept);
+        return result;
+      });
 }
 
 }  // namespace ngd

@@ -33,7 +33,12 @@
 
 namespace ngd {
 
-struct PIncDectOptions {
+/// PIncDect options: the shared contract (Σ-minimization, cancel/deadline,
+/// run_info, spill) is DetectControl; the fields here pick the backend and
+/// tune the hybrid split and the skew balancer. Under minimization pivots,
+/// N_C and the workloads cover the kept rules only. A cancelled or
+/// deadlined run returns the ΔVio its workers found before the stop.
+struct PIncDectOptions : DetectControl {
   int num_processors = 4;
   /// Backend selection, exactly as IncDectOptions: kNever = live overlay
   /// graph (the oracle/baseline), kAlways = DeltaView over the base
@@ -49,7 +54,8 @@ struct PIncDectOptions {
   /// Communication-latency constant C of the cost model (paper fixes 60).
   double latency_c = 60.0;
   /// Balancer wake-up interval in milliseconds (paper: 45 s at cluster
-  /// scale; milliseconds at this scale — DESIGN.md §3).
+  /// scale; milliseconds at this scale — EXPERIMENTS.md §1 "Scale
+  /// mapping").
   int balance_interval_ms = 45;
   bool enable_split = true;    ///< off = PIncDect_ns
   bool enable_balance = true;  ///< off = PIncDect_nb
@@ -68,26 +74,6 @@ struct PIncDectOptions {
   /// fragment-affine placement instead of round-robin. N_C stays
   /// replicated everywhere, so any processor can still run any unit.
   const FragmentRuntime* runtime = nullptr;
-  /// Σ-optimizer (reason/sigma_optimizer.h): kAlways/kAuto enumerate
-  /// pivots, extract N_C and partition workloads over the implication-
-  /// minimized rule set only, remapping ΔVio indices back to Σ. kNever
-  /// (default) is the oracle.
-  MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
-  /// Graceful degradation (see DectOptions / PDectOptions): a tripped
-  /// token or expired deadline stops the workers and drains the queues;
-  /// the call returns the ΔVio found so far with `truncated` set, and
-  /// `run_info` marks a rule complete only when every one of its pivot
-  /// work units (including splits and spawned children) finished.
-  CancelToken* cancel = nullptr;
-  Deadline deadline = {};
-  DetectRunInfo* run_info = nullptr;
-  /// Streaming results: worker-local ΔVio sets spill under
-  /// "<path_prefix>.add.w<i>" / "<path_prefix>.rem.w<i>" with
-  /// budget_bytes/p each; the merged delta keeps spilling under
-  /// "<path_prefix>.add" / "<path_prefix>.rem" (see DectOptions::spill
-  /// and detect/vio_stream.h).
-  const VioSpillOptions* spill = nullptr;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
   /// depth execute inline on the producing worker. 0 disables; initial
@@ -101,12 +87,10 @@ struct PIncDectResult {
   bool truncated = false;
   double elapsed_seconds = 0.0;
   size_t candidate_neighborhood_nodes = 0;
-  uint64_t messages = 0;
-  uint64_t replicated_nodes = 0;
-  uint64_t work_units = 0;
-  uint64_t splits = 0;
-  uint64_t balance_moves = 0;
-  uint64_t steals = 0;
+  /// Communication / balancing counters, the same shape PDectResult
+  /// carries. replicated_nodes = |N_C|·(p-1); messages = the N_C
+  /// broadcast round + split broadcasts + balancer moves + steals.
+  ClusterMetricsSnapshot metrics;
 };
 
 /// Computes ΔVio(Σ, G, ΔG) with p simulated processors. `g` must carry ΔG

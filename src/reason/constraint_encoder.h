@@ -85,8 +85,12 @@ struct EncodedLiteral {
 };
 
 /// Encodes literal truth (positive) or falsity-by-comparison (negated)
-/// under the node binding `h`. Fails with Unimplemented for shapes outside
-/// the supported fragment (documented in DESIGN.md §5.6).
+/// under the node binding `h`. The supported fragment is linear
+/// arithmetic: products need a constant factor, divisors must be nonzero
+/// constants, and string constants appear only in =/≠ against a bare
+/// attribute (other string shapes decide to never-true). Anything else
+/// (a non-linear product, a variable divisor, a string inside arithmetic)
+/// fails with InvalidArgument.
 StatusOr<EncodedLiteral> EncodeLiteral(const Literal& lit, bool positive,
                                        const Binding& h, VarTable* vars);
 

@@ -6,7 +6,8 @@
 // violate φ (X true, some Y literal false) while every match of every NGD
 // in Σ on that graph must hold. Finding a witness is a proof of
 // non-implication (kNo, exact); exhausting the family yields kYes with
-// the same family-relative caveat as satisfiability (DESIGN.md §5.6).
+// the same family-relative caveat as satisfiability (satisfiability.h):
+// a counter-model outside the canonical family is not ruled out.
 
 #ifndef NGD_REASON_IMPLICATION_H_
 #define NGD_REASON_IMPLICATION_H_

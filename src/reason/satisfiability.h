@@ -22,7 +22,7 @@
 // sets whose conflicts are forced through their own patterns (all of the
 // paper's examples, and typical data-quality rule sets); a conceivable
 // exotic model outside the family is not ruled out, which is the
-// documented trade-off against the Σᵖ₂ search space (DESIGN.md §5.6).
+// deliberate trade-off against the Σᵖ₂ search space.
 // kUnknown is returned when solver budgets are exhausted.
 
 #ifndef NGD_REASON_SATISFIABILITY_H_

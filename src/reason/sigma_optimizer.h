@@ -36,7 +36,8 @@
 // subset is a kYes from Σ∖{φ}; the pre-filter can only miss drops.
 //
 // Engines consume the optimizer through the tri-state `minimize_sigma`
-// in DectOptions/IncDectOptions/PDectOptions/PIncDectOptions:
+// of DetectControl (detect/dect.h), the base of every engine's options
+// struct, and run it through RunMinimized:
 //   kNever  — detection runs Σ verbatim (the default and the oracle);
 //   kAlways — minimize, run the kept rules, remap indices back to Σ;
 //   kAuto   — minimize only when |Σ| ≥ auto_min_rules; below the
@@ -150,31 +151,52 @@ bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
 /// Test hook: drops every cached kept-set.
 void ClearSigmaOptimizerCache();
 
-/// Shared engine boilerplate: for any options struct carrying
-/// `minimize_sigma` + `sigma_optimizer` (DectOptions, IncDectOptions,
-/// PDectOptions, PIncDectOptions), resolves minimization and — when
-/// detection should run the minimized set — fills *inner with a copy of
-/// `opts` whose mode is cleared, so the engine can re-enter itself once
-/// and apply its type-specific remap. Keeping this in ONE place means a
-/// change to the resolve contract cannot drift across the five engines.
-template <typename Options>
-bool BeginMinimizedDetection(const NgdSet& sigma, const SchemaPtr& schema,
-                             const Options& opts, Options* inner,
-                             MinimizedSigma* minimized) {
-  if (opts.minimize_sigma == MinimizeMode::kNever) return false;
-  if (!ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
-                             opts.sigma_optimizer, minimized)) {
-    return false;
-  }
-  *inner = opts;
-  inner->minimize_sigma = MinimizeMode::kNever;
-  return true;
-}
-
 /// Remaps rule indices of violations found against a minimized Σ back to
 /// the original catalog via OptimizeReport::kept.
 VioSet RemapViolations(VioSet vio, const std::vector<int>& kept);
 DeltaVio RemapDelta(DeltaVio delta, const std::vector<int>& kept);
+
+/// Remaps a DetectRunInfo produced against a minimized Σ back to the
+/// caller's catalog: kept rules copy their marks; a dropped (implied)
+/// rule is complete iff every rule on its implication cover
+/// (OptimizeReport::implied_by, followed transitively to kept rules)
+/// completed — its violations are covered by exactly those rules, so a
+/// truncation elsewhere in the sweep does not poison its mark. Reports
+/// without a recorded cover (e.g. served from a pre-upgrade cache entry)
+/// fall back to the conservative whole-run mark.
+void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
+                  size_t original_rules, DetectRunInfo* out);
+
+/// The one minimized run every engine goes through. `opts` is an engine
+/// options struct (derived from DetectControl); `detect(rules, o)` runs
+/// the engine body on `rules` under `o`, and `remap(result, kept)` maps
+/// its result's rule indices back to Σ (RemapViolations, RemapDelta, a
+/// witness index). When opts.minimize_sigma resolves to "run verbatim"
+/// (kNever, kAuto below threshold, nothing droppable) this is exactly
+/// detect(sigma, opts). Otherwise detect runs once on the kept rules with
+/// minimization cleared and a private run_info, whose marks RemapRunInfo
+/// carries back into opts.run_info. Keeping this in ONE place means a
+/// change to the resolve contract cannot drift across the engines.
+template <typename Options, typename Detect, typename Remap>
+auto RunMinimized(const NgdSet& sigma, const SchemaPtr& schema,
+                  const Options& opts, const Detect& detect,
+                  const Remap& remap) -> decltype(detect(sigma, opts)) {
+  MinimizedSigma m;
+  if (opts.minimize_sigma == MinimizeMode::kNever ||
+      !ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
+                             opts.sigma_optimizer, &m)) {
+    return detect(sigma, opts);
+  }
+  Options inner = opts;
+  inner.minimize_sigma = MinimizeMode::kNever;
+  DetectRunInfo inner_info;
+  inner.run_info = &inner_info;
+  auto result = remap(detect(m.sigma, inner), m.report.kept);
+  if (opts.run_info != nullptr) {
+    RemapRunInfo(inner_info, m.report, sigma.size(), opts.run_info);
+  }
+  return result;
+}
 
 }  // namespace ngd
 

@@ -4,7 +4,7 @@
 // bound a detection call: a deadline-hit run returns an honest partial
 // result (`truncated` flag + per-rule completion marks) instead of
 // blocking indefinitely or aborting. The primitives here are threaded
-// through DectOptions/IncDectOptions/PDectOptions/PIncDectOptions and
+// through DetectControl (detect/dect.h), shared by all four engines, and
 // checked inside the match-expansion inner loops and the work-stealing
 // run loop.
 //

@@ -15,7 +15,8 @@
 //   2. the engines under the tightest bound — PDect and PIncDect with
 //      max_queue_depth = 1 stay byte-identical to the sequential
 //      oracles on randomized workloads, so inline execution changes
-//      scheduling only, never results.
+//      scheduling only, never results; PIncDect's result reports the
+//      queue counters (peak_queue_depth, inline_runs) of that run.
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,7 @@ void ExpectSameSorted(const std::vector<Violation>& want,
 }
 
 TEST(ClusterBackpressureTest, EnginesAgreeWithOracleAtDepthOne) {
+  uint64_t pinc_inline_runs = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 23);
     testing_util::RandomWorkload w =
@@ -183,7 +185,19 @@ TEST(ClusterBackpressureTest, EnginesAgreeWithOracleAtDepthOne) {
                      repro + " PIncDect ΔVio+ depth-1");
     ExpectSameSorted(inc->removed.Sorted(), pinc->delta.removed.Sorted(),
                      repro + " PIncDect ΔVio- depth-1");
+    // The result carries the pool's queue counters. A queue held a unit
+    // exactly when some unit ran, and every unit that sat in a queue ran
+    // once (nothing is cancelled here), so the peak is at most the units
+    // processed.
+    const ClusterMetricsSnapshot& m = pinc->metrics;
+    EXPECT_EQ(m.peak_queue_depth > 0, m.work_units > 0) << repro;
+    EXPECT_LE(m.peak_queue_depth, m.work_units) << repro;
+    EXPECT_LE(m.inline_runs, m.work_units) << repro;
+    pinc_inline_runs += m.inline_runs;
   }
+  // Depth 1 leaves no room once the pivots are seeded, so some mid-run
+  // split or child spawn must have taken the inline path.
+  EXPECT_GT(pinc_inline_runs, 0u);
 }
 
 }  // namespace

@@ -329,7 +329,7 @@ TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
     no_steal.enable_steal = false;
     auto r2 = PIncDect(*g, sigma, batch, no_steal);
     ASSERT_TRUE(r2.ok());
-    EXPECT_EQ(r2->steals, 0u);
+    EXPECT_EQ(r2->metrics.steals, 0u);
     EXPECT_EQ(r2->delta.added.size(), result->delta.added.size());
     EXPECT_EQ(r2->delta.removed.size(), result->delta.removed.size());
   }

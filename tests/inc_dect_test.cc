@@ -357,7 +357,7 @@ TEST_F(IncDectTest, DeltaMatchesBatchRecomputation) {
   NodeId a = AddValueNode(10), b = AddValueNode(5), c = AddValueNode(20);
   ASSERT_TRUE(g_.AddEdge(a, b, e_).ok());
   ASSERT_TRUE(g_.AddEdge(b, c, e_).ok());
-  VioSet before = Dect(g_, rules_, DectOptions{GraphView::kNew});
+  VioSet before = Dect(g_, rules_);
 
   UpdateBatch batch;
   batch.updates.push_back({UpdateKind::kDelete, a, b, e_});
@@ -367,7 +367,7 @@ TEST_F(IncDectTest, DeltaMatchesBatchRecomputation) {
   auto delta = IncDect(g_, rules_, batch);
   ASSERT_TRUE(delta.ok());
   VioSet incremental = ApplyDelta(before, *delta);
-  VioSet batch_after = Dect(g_, rules_, DectOptions{GraphView::kNew});
+  VioSet batch_after = Dect(g_, rules_);
   EXPECT_EQ(incremental.Sorted().size(), batch_after.Sorted().size());
   for (const auto& v : batch_after.items()) {
     EXPECT_TRUE(incremental.Contains(v));

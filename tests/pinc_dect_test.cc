@@ -61,7 +61,7 @@ TEST_P(PIncDectProcessorsTest, MatchesSequentialIncDect) {
   auto result = PIncDect(*w.graph, w.sigma, w.batch, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameDelta(w.expected, result->delta);
-  EXPECT_GT(result->work_units, 0u);
+  EXPECT_GT(result->metrics.work_units, 0u);
   EXPECT_GT(result->candidate_neighborhood_nodes, 0u);
 }
 
@@ -87,10 +87,10 @@ TEST_P(PIncDectVariantTest, AblationVariantsAreAllCorrect) {
   ASSERT_TRUE(result.ok());
   ExpectSameDelta(w.expected, result->delta);
   if (!GetParam().split) {
-    EXPECT_EQ(result->splits, 0u);
+    EXPECT_EQ(result->metrics.splits, 0u);
   }
   if (!GetParam().balance) {
-    EXPECT_EQ(result->balance_moves, 0u);
+    EXPECT_EQ(result->metrics.balance_moves, 0u);
   }
 }
 
@@ -140,7 +140,7 @@ TEST(PIncDectTest, SplittingTriggersOnHubs) {
   opts.min_split_adjacency = 8;
   auto result = PIncDect(g, *parsed, batch, opts);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->splits, 0u);
+  EXPECT_GT(result->metrics.splits, 0u);
   ExpectSameDelta(*sequential, result->delta);
 }
 
@@ -151,7 +151,7 @@ TEST(PIncDectTest, LargeLatencyDisablesSplitting) {
   opts.latency_c = 1e9;
   auto result = PIncDect(*w.graph, w.sigma, w.batch, opts);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->splits, 0u);
+  EXPECT_EQ(result->metrics.splits, 0u);
   ExpectSameDelta(w.expected, result->delta);
 }
 
@@ -177,7 +177,7 @@ TEST(PIncDectTest, ReplicationMetricsScaleWithProcessors) {
   ASSERT_TRUE(r2.ok() && r8.ok());
   EXPECT_EQ(r2->candidate_neighborhood_nodes,
             r8->candidate_neighborhood_nodes);
-  EXPECT_GT(r8->replicated_nodes, r2->replicated_nodes);
+  EXPECT_GT(r8->metrics.replicated_nodes, r2->metrics.replicated_nodes);
 }
 
 TEST(PIncDectTest, RejectsEdgelessPattern) {

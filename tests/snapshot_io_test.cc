@@ -539,7 +539,6 @@ TEST(SnapshotIoEquivalenceTest, TextAndBinaryIngestAgreeOnAllFourEngines) {
     popts_t.num_processors = 3;
     const VioSet pvio_t = PDect(**gt, sigma, popts_t).vio;
     PDectOptions popts_b = popts_t;
-    popts_b.snapshot = loaded->get();
     const VioSet pvio_b = PDect(**gb, sigma, popts_b).vio;
     EXPECT_EQ(VioBytes(pvio_t, sigma), VioBytes(pvio_b, sigma))
         << "case " << c;

@@ -274,8 +274,11 @@ TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
   ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
 
   for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
-    DectOptions live_opts{view, 0, SnapshotMode::kNever};
-    DectOptions snap_opts{view, 0, SnapshotMode::kAlways};
+    DectOptions live_opts;
+    live_opts.view = view;
+    live_opts.snapshot_mode = SnapshotMode::kNever;
+    DectOptions snap_opts = live_opts;
+    snap_opts.snapshot_mode = SnapshotMode::kAlways;
     VioSet live = Dect(*g, sigma, live_opts);
     VioSet snap = Dect(*g, sigma, snap_opts);
     ASSERT_EQ(live.size(), snap.size())
@@ -285,7 +288,7 @@ TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
           << "snapshot Dect missing a violation of rule "
           << sigma[v.ngd_index].name();
     }
-    // PDect over the shared snapshot agrees too.
+    // Fragment-native PDect agrees too.
     PDectOptions popts;
     popts.num_processors = 3;
     popts.view = view;
@@ -318,8 +321,10 @@ TEST(SnapshotFixtureTest, PaperRulesAgreeLiveVsSnapshot) {
   NgdSet rules = testing_util::MustParse(testing_util::kPhi4, g4.schema);
   ASSERT_EQ(rules.size(), 1u);
 
-  DectOptions live_opts{GraphView::kNew, 0, SnapshotMode::kNever};
-  DectOptions snap_opts{GraphView::kNew, 0, SnapshotMode::kAlways};
+  DectOptions live_opts;
+  live_opts.snapshot_mode = SnapshotMode::kNever;
+  DectOptions snap_opts;
+  snap_opts.snapshot_mode = SnapshotMode::kAlways;
   VioSet live = Dect(*g4.graph, rules, live_opts);
   VioSet snap = Dect(*g4.graph, rules, snap_opts);
   EXPECT_EQ(live.size(), 1u);  // the Example 3 violation

@@ -830,12 +830,7 @@ struct ScalePoint {
   size_t crossing_edges = 0;
   uint64_t replicated_nodes = 0;
   ClusterMetricsSnapshot pdect_metrics;
-  uint64_t pinc_messages = 0;
-  uint64_t pinc_replicated = 0;
-  uint64_t pinc_work_units = 0;
-  uint64_t pinc_splits = 0;
-  uint64_t pinc_balance_moves = 0;
-  uint64_t pinc_steals = 0;
+  ClusterMetricsSnapshot pinc_metrics;
 };
 
 struct ScaleSeries {
@@ -944,12 +939,7 @@ bool RunProcessorScaling(const Options& opts, ScaleSeries* out) {
                 << pt.processors << "\n";
       return false;
     }
-    pt.pinc_messages = r.messages;
-    pt.pinc_replicated = r.replicated_nodes;
-    pt.pinc_work_units = r.work_units;
-    pt.pinc_splits = r.splits;
-    pt.pinc_balance_moves = r.balance_moves;
-    pt.pinc_steals = r.steals;
+    pt.pinc_metrics = r.metrics;
   }
   graph->Rollback();
   return true;
@@ -1497,12 +1487,13 @@ int Run(const Options& opts) {
     js << "          \"steals\": " << pt.pdect_metrics.steals << "\n";
     js << "        },\n";
     js << "        \"pinc_dect_metrics\": {\n";
-    js << "          \"messages\": " << pt.pinc_messages << ",\n";
-    js << "          \"replicated_nodes\": " << pt.pinc_replicated << ",\n";
-    js << "          \"work_units\": " << pt.pinc_work_units << ",\n";
-    js << "          \"splits\": " << pt.pinc_splits << ",\n";
-    js << "          \"balance_moves\": " << pt.pinc_balance_moves << ",\n";
-    js << "          \"steals\": " << pt.pinc_steals << "\n";
+    const ClusterMetricsSnapshot& pm = pt.pinc_metrics;
+    js << "          \"messages\": " << pm.messages << ",\n";
+    js << "          \"replicated_nodes\": " << pm.replicated_nodes << ",\n";
+    js << "          \"work_units\": " << pm.work_units << ",\n";
+    js << "          \"splits\": " << pm.splits << ",\n";
+    js << "          \"balance_moves\": " << pm.balance_moves << ",\n";
+    js << "          \"steals\": " << pm.steals << "\n";
     js << "        }\n";
     js << "      }" << (i + 1 < scaling.points.size() ? "," : "") << "\n";
   }
