@@ -9,17 +9,24 @@
 // flush never leaves a torn segment and never loses a record (a failed
 // flush keeps the records resident and the error sticky).
 //
+// The flush is pipelined: at half the spill trigger the owner hands its
+// resident records to one background job (sort, serialize, checksum,
+// write, register) and keeps appending into fresh storage. At most one
+// job is in flight; the next hand-off and every reader of spill state
+// join it first, so the observable contract is the synchronous one.
+//
 // VioCursor is the read side: a k-way merge over the sorted segments
 // plus the sorted resident tail, streaming the full result in exactly
 // Sorted() order — the stable paging order — one record at a time with
-// bounded resident memory (one buffered block per segment). Cursors are
-// resumable: OpenCursor(offset) continues a prior stream, and
-// position() is the offset to resume from.
+// bounded resident memory (one 64 KiB read buffer per segment). A binary
+// heap picks the next segment record in O(log k); every segment's
+// checksums are verified, concurrently, before the first record is
+// served. Cursors are resumable: OpenCursor(offset) continues a prior
+// stream, and position() is the offset to resume from.
 //
-// VioSink packages the pair for result serving (ROADMAP item 1's ngdd):
-// engines emit into sink.set() (wired via the engines' spill options),
-// clients page out of ReadPage/OpenCursor. The future daemon hangs a
-// socket off this surface unchanged.
+// VioSink packages the pair for result serving: engines emit into
+// sink.set() (wired via the engines' spill options), clients page out of
+// ReadPage/OpenCursor.
 
 #ifndef NGD_DETECT_VIO_STREAM_H_
 #define NGD_DETECT_VIO_STREAM_H_

@@ -103,14 +103,16 @@ bool VioSet::AddTuple(int ngd_index, const NodeId* nodes, size_t len) {
     ++size_;
     return true;
   }
-  AppendUnchecked(ngd_index, nodes, len);
+  PushRec(ngd_index, nodes, len);
   table_[slot] = static_cast<uint32_t>(recs_.size() - 1);
   ++table_used_;
   indexed_ = recs_.size();
+  // After the index update: a hand-off swaps recs_ out and clears table_.
+  CheckSpill();
   return true;
 }
 
-void VioSet::AppendUnchecked(int ngd_index, const NodeId* nodes, size_t len) {
+void VioSet::PushRec(int ngd_index, const NodeId* nodes, size_t len) {
   Rec r;
   r.ngd_index = static_cast<int32_t>(ngd_index);
   r.len = static_cast<uint32_t>(len);
@@ -122,6 +124,10 @@ void VioSet::AppendUnchecked(int ngd_index, const NodeId* nodes, size_t len) {
   }
   recs_.push_back(r);
   ++size_;
+}
+
+void VioSet::AppendUnchecked(int ngd_index, const NodeId* nodes, size_t len) {
+  PushRec(ngd_index, nodes, len);
   CheckSpill();
 }
 
@@ -141,7 +147,23 @@ void VioSet::AppendBlockUnchecked(int ngd_index, size_t tuple_len,
     }
   }
   for (size_t i = 0; i < count; ++i) {
-    AppendUnchecked(ngd_index, flat + i * tuple_len, tuple_len);
+    PushRec(ngd_index, flat + i * tuple_len, tuple_len);
+  }
+  // One spill check per block: a block is far smaller than the spill
+  // headroom, so the budget still holds.
+  CheckSpill();
+}
+
+void VioSet::AppendRecs(const std::vector<Rec>& recs,
+                        const std::vector<NodeId>& arena) {
+  const uint32_t base = static_cast<uint32_t>(arena_.size());
+  arena_.insert(arena_.end(), arena.begin(), arena.end());
+  recs_.reserve(recs_.size() + recs.size());
+  for (const Rec& r : recs) {
+    if (r.dead) continue;
+    Rec copy = r;
+    if (copy.len > kInlineNodes) copy.offset += base;
+    recs_.push_back(copy);
   }
 }
 
@@ -182,16 +204,12 @@ void VioSet::MergeDisjointUnchecked(VioSet&& other) {
   }
   // Segment files (and a sticky flush error) transfer wholesale; the
   // cursor's k-way merge does not care which set wrote which segment.
+  // Both in-flight flushes settle first, so a failed one's records are
+  // back in the resident tail that is merged below.
+  JoinFlush();
+  other.JoinFlush();
   if (other.spill_ != nullptr) AdoptSpillFrom(std::move(other));
-  const uint32_t base = static_cast<uint32_t>(arena_.size());
-  arena_.insert(arena_.end(), other.arena_.begin(), other.arena_.end());
-  recs_.reserve(recs_.size() + other.recs_.size());
-  for (const Rec& r : other.recs_) {
-    if (r.dead) continue;
-    Rec copy = r;
-    if (copy.len > kInlineNodes) copy.offset += base;
-    recs_.push_back(copy);
-  }
+  AppendRecs(other.recs_, other.arena_);
   size_ += other.size_;
   // Appended records sit beyond indexed_; the next indexed operation
   // catches them up in one pass (and would repair any overlap, though
@@ -217,6 +235,8 @@ void VioSet::Remove(const VioSet& other) {
 }
 
 void VioSet::RemapNgdIndices(const std::vector<int>& kept) {
+  // A failed in-flight flush returns pre-remap records to the tail.
+  JoinFlush();
   for (Rec& r : recs_) {
     if (r.dead) continue;
     assert(r.ngd_index >= 0 &&

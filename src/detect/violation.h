@@ -213,29 +213,37 @@ class VioSet {
   //
   // A spill-enabled set trades the resident guarantee for a byte budget:
   // the unchecked append paths (the only emission paths the engines use)
-  // flush sorted, checksummed segments through WriteFileAtomic once the
-  // resident footprint nears budget_bytes, and OpenCursor streams the
+  // hand the resident records to a background flush job once they reach
+  // half the spill trigger; the job sorts them and writes one
+  // checksummed segment through WriteFileAtomic while the owner keeps
+  // appending, and at most one job is in flight. OpenCursor streams the
   // union back in Sorted() order with bounded resident memory. Once a
-  // record has spilled, the checked/set-semantics surface (Add, Contains,
-  // Merge, Remove) and Sorted()/items() see only the resident tail and
-  // are disallowed (asserted in debug builds); size() stays total.
-  // A failed flush is sticky in spill_status() and degrades the set to
-  // resident-over-budget — no appended record is ever silently lost.
+  // record has been handed off, the checked/set-semantics surface (Add,
+  // Contains, Merge, Remove) and Sorted()/items() see only the resident
+  // tail and are disallowed (asserted in debug builds); size() stays
+  // total. A failed flush is sticky in spill_status() and its records
+  // rejoin the resident tail, degrading the set to resident-over-budget
+  // — no appended record is ever silently lost. Every member, the spill
+  // accessors included, is for the owning thread only; each accessor
+  // that reads spill state first joins the in-flight job.
 
   void EnableSpill(const VioSpillOptions& opts);
   bool spill_enabled() const { return spill_ != nullptr; }
   /// Records flushed to segment files so far (0 until the budget trips).
   size_t spilled_records() const;
   size_t num_spill_segments() const;
-  /// High-water mark of resident_bytes() observed by the spill checks.
+  /// High-water mark of resident plus in-flight flush bytes, sampled at
+  /// every hand-off and flush (and now).
   size_t peak_resident_bytes() const;
   /// First flush error, sticky (OK while everything has worked).
   [[nodiscard]] Status spill_status() const;
-  /// Forces the resident tail into a final segment (e.g. before handing
-  /// the segment files to another process). Not required for OpenCursor.
+  /// Forces the resident tail into a final segment and waits for it
+  /// (e.g. before handing the segment files to another process). Not
+  /// required for OpenCursor.
   [[nodiscard]] Status FlushSpill();
 
-  /// Bytes held by the resident record/arena/index storage.
+  /// Bytes held by the resident record/arena/index storage (the records
+  /// of an in-flight flush are not resident; see peak_resident_bytes).
   size_t resident_bytes() const {
     return recs_.size() * sizeof(Rec) + arena_.size() * sizeof(NodeId) +
            table_.size() * sizeof(uint32_t);
@@ -253,11 +261,14 @@ class VioSet {
   friend struct ItemsView;
   friend class const_iterator;
   friend struct VioCursorImpl;
+  friend struct VioSpillState;
 
   /// Tuples up to this length are stored inside the record; longer ones
   /// spill into arena_. sizeof(Rec) stays at 24 bytes either way.
   static constexpr uint32_t kInlineNodes = 4;
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  /// spill_at_ of a set that never hands off: plain, or sticky-failed.
+  static constexpr size_t kNoSpill = SIZE_MAX;
 
   struct Rec {
     int32_t ngd_index = -1;
@@ -270,8 +281,11 @@ class VioSet {
     Rec() : len(0), dead(0) { offset = 0; }
   };
 
+  static const NodeId* NodesOf(const Rec& r, const NodeId* arena) {
+    return r.len <= kInlineNodes ? r.inl : arena + r.offset;
+  }
   const NodeId* NodesOf(const Rec& r) const {
-    return r.len <= kInlineNodes ? r.inl : arena_.data() + r.offset;
+    return NodesOf(r, arena_.data());
   }
 
   Violation Materialize(size_t i) const {
@@ -315,19 +329,36 @@ class VioSet {
   void EnsureIndex();
   void GrowTable(size_t min_live);
 
+  /// Appends one record, no duplicate check and no spill check.
+  void PushRec(int ngd_index, const NodeId* nodes, size_t len);
+
+  /// Appends the live records of another store (arena offsets rebased).
+  void AppendRecs(const std::vector<Rec>& recs,
+                  const std::vector<NodeId>& arena);
+
   /// True while the checked/whole-set surface still sees every record
   /// (nothing has been flushed to disk).
   bool AllResident() const;
 
-  /// Spill trigger, called from the append paths. Out of line so the
-  /// non-spilling hot path pays only the null check in CheckSpill().
-  void MaybeSpill();
+  /// Spill trigger, called from the append paths: one unlocked compare
+  /// against the cached hand-off threshold, so emission never takes the
+  /// spill lock.
   void CheckSpill() {
-    if (spill_ != nullptr) MaybeSpill();
+    if (resident_bytes() >= spill_at_) HandOffResident(/*refill=*/true);
   }
 
-  /// Sorts the resident live records and flushes them as one segment.
-  [[nodiscard]] Status SpillResidentSegment();
+  /// Joins the in-flight flush, then hands recs_/arena_ to a new one.
+  /// `refill` pre-reserves the fresh resident storage to the handed-off
+  /// size (the owner keeps appending at the same rate).
+  void HandOffResident(bool refill);
+
+  /// Waits for the in-flight flush job, if any. A failed job's records
+  /// rejoin the resident tail and its error turns sticky. Logically
+  /// const: the set holds the same records either way.
+  void JoinFlush() const;
+
+  /// Re-derives spill_at_ from the options and the sticky status.
+  void RefreshSpillAt();
 
   /// MergeDisjointUnchecked's spill half: takes over `other`'s segment
   /// files and sticky status before the resident records are merged
@@ -346,6 +377,8 @@ class VioSet {
   size_t indexed_ = 0;           ///< recs_[0, indexed_) are in table_
   size_t size_ = 0;              ///< live records
   std::unique_ptr<VioSpillState> spill_;  ///< null = plain resident set
+  /// resident_bytes() at which CheckSpill hands off (kNoSpill = never).
+  size_t spill_at_ = kNoSpill;
 };
 
 /// ΔVio = (ΔVio+, ΔVio-): violations introduced / removed by ΔG.

@@ -47,8 +47,9 @@ std::unique_ptr<Graph> GenerateGraph(const GraphGenConfig& config,
                                      SchemaPtr schema);
 
 /// Presets mirroring §7's datasets at `scale` (1.0 = paper-sized).
-/// Defaults in bench/ use scale ≈ 1/500 so each bench finishes in seconds
-/// on a laptop; EXPERIMENTS.md records the scaled sizes.
+/// tools/ngdbench's fig4_panels and exp5 series use scale ≈ 1/500 so each
+/// point finishes in seconds on a laptop; EXPERIMENTS.md records the
+/// scaled sizes.
 GraphGenConfig DBpediaLikeConfig(double scale, uint64_t seed = 7);
 GraphGenConfig Yago2LikeConfig(double scale, uint64_t seed = 7);
 GraphGenConfig PokecLikeConfig(double scale, uint64_t seed = 7);

@@ -2,8 +2,9 @@
 //
 // All stochastic components of ngdlib (graph generators, update generators,
 // rule generators) take an explicit seed and use this generator, so every
-// experiment in bench/ and every test is exactly reproducible across runs
-// and platforms. The core is xoroshiro128++ seeded via splitmix64.
+// tools/ngdbench series (fig4_panels, exp5, ...) and every test is exactly
+// reproducible across runs and platforms. The core is xoroshiro128++
+// seeded via splitmix64.
 
 #ifndef NGD_UTIL_RNG_H_
 #define NGD_UTIL_RNG_H_

@@ -2,16 +2,19 @@
 //
 //   1. unit mechanics — a spill-enabled VioSet flushes page-floored,
 //      checksummed segments past its budget; the cursor streams segments
-//      plus the resident tail back in exactly Sorted() order, resumes
-//      from any offset, and applies post-spill Σ-remaps at read time;
+//      plus the resident tail back in exactly Sorted() order (also
+//      through a heap over dozens of segments whose records straddle the
+//      read buffer), resumes from any offset, and applies post-spill
+//      Σ-remaps at read time;
 //   2. engine differential — a randomized sweep running all four engines
 //      with spill thresholds {0, one page, default} and requiring the
 //      cursor stream to be byte-identical to the same engine's
 //      non-spilled Sorted() oracle;
 //   3. fault injection — a flush killed at the "vioseg_write" failpoint
 //      keeps every record (resident, sticky error, stream still exact),
-//      and a silently bit-flipped segment fails OpenCursor with
-//      kCorruption before the first record;
+//      also when it fails on the background flush thread and a Σ-remap
+//      joins it; and a silently bit-flipped segment fails OpenCursor
+//      with kCorruption before the first record;
 //   4. the violation-heavy acceptance run — >= 10^6 violations under an
 //      8 MiB budget with the peak resident footprint held under it
 //      (gated by NGD_SPILL_HEAVY=0 for sanitizer CI).
@@ -35,6 +38,7 @@
 #include "parallel/pinc_dect.h"
 #include "test_util.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace ngd {
 namespace {
@@ -165,6 +169,55 @@ TEST(VioSpillTest, RemapAppliesToSegmentsWrittenBeforeIt) {
   ExpectSetStreams(plain.Sorted(), set, "remapped spilled set");
 }
 
+/// Appends `count` distinct tuples of 5..24 nodes (longer than the
+/// inline capacity) to every set in `sets`, with every 97th tuple 20000
+/// nodes long: its 80 KB record is longer than the cursor's 64 KiB read
+/// buffer, and the segments it lands in push their other records across
+/// buffer refills.
+void AppendLongTuples(size_t count, const std::vector<VioSet*>& sets) {
+  Rng rng(0x5E6);
+  std::vector<NodeId> tuple;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t len =
+        i % 97 == 96 ? 20000 : static_cast<size_t>(rng.UniformInt(5, 24));
+    tuple.resize(len);
+    tuple[0] = static_cast<NodeId>(rng.UniformInt(0, 50));
+    tuple[1] = static_cast<NodeId>(i);  // distinct tuples
+    for (size_t k = 2; k < len; ++k) {
+      tuple[k] = static_cast<NodeId>(rng.UniformInt(0, 1000000));
+    }
+    const int rule = static_cast<int>(rng.UniformInt(0, 2));
+    for (VioSet* set : sets) set->AppendUnchecked(rule, tuple.data(), len);
+  }
+}
+
+TEST(VioSpillTest, HeapMergeOverManySegmentsWithStraddlingRecords) {
+  VioSet plain;
+  VioSet set;
+  VioSpillOptions opts;
+  opts.path_prefix = TempPrefix("spill_heap");
+  opts.budget_bytes = 4096;  // one page
+  set.EnableSpill(opts);
+  AppendLongTuples(4000, {&plain, &set});
+  ASSERT_GE(set.num_spill_segments(), 64u);
+  ASSERT_GT(set.resident_bytes(), 0u);  // the merge includes a tail too
+  const std::vector<Violation> want = plain.Sorted();
+  ExpectSetStreams(want, set, "heap merge");
+
+  Rng rng(0x0FF5E7);
+  for (int i = 0; i < 6; ++i) {
+    const size_t offset = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(want.size())));
+    auto cursor = set.OpenCursor(offset);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    ASSERT_EQ(cursor->position(), offset);
+    const std::vector<Violation> tail(
+        want.begin() + static_cast<std::ptrdiff_t>(offset), want.end());
+    ExpectStreamEquals(tail, &*cursor,
+                       "heap merge from offset " + std::to_string(offset));
+  }
+}
+
 TEST(VioSinkTest, ReadPagePagesTheWholeStream) {
   VioSpillOptions opts;
   opts.path_prefix = TempPrefix("sink_page");
@@ -215,6 +268,59 @@ TEST(VioSpillFaultTest, FailedFlushKeepsRecordsAndStreamExact) {
   ExpectSetStreams(plain.Sorted(), set, "post-ENOSPC stream");
 }
 
+TEST(VioSpillFaultTest, BackgroundFlushFailureJoinedByRemapKeepsRecords) {
+  failpoint::Reset();
+  failpoint::ArmSite("vioseg_write", failpoint::Mode::kEnospc, 1);
+  VioSet plain;
+  VioSet set;
+  VioSpillOptions opts;
+  opts.path_prefix = TempPrefix("spill_async_enospc");
+  opts.budget_bytes = 0;
+  set.EnableSpill(opts);
+  // Append until the second hand-off: its job, the one armed to fail,
+  // is then on the flush thread and nothing has joined it. A few more
+  // records land in the fresh resident tail behind it.
+  size_t appended = 0;
+  size_t handoffs = 0;
+  size_t tail_after = 0;
+  for (NodeId n = 0; tail_after < 10; ++n) {
+    const int r = static_cast<int>(n % 2);
+    const size_t before = set.resident_bytes();
+    set.AppendUnchecked(r, &n, 1);
+    plain.AppendUnchecked(r, &n, 1);
+    ++appended;
+    ASSERT_EQ(set.size(), appended);
+    if (set.resident_bytes() < before) ++handoffs;
+    if (handoffs == 2) ++tail_after;
+    ASSERT_LT(n, 100000u) << "no second hand-off";
+  }
+  // The remap joins the failed job: its records rejoin the tail and are
+  // remapped there, while the first segment is remapped at read time.
+  const std::vector<int> kept = {3, 7};
+  set.RemapNgdIndices(kept);
+  plain.RemapNgdIndices(kept);
+  failpoint::Reset();
+  EXPECT_EQ(set.size(), appended);
+  const Status failed = set.spill_status();
+  EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted)
+      << failed.ToString();
+  EXPECT_EQ(set.num_spill_segments(), 1u);
+  ExpectSetStreams(plain.Sorted(), set, "async-failure remapped stream");
+
+  // Sticky: later appends stay resident and a final flush reports the
+  // same error instead of writing.
+  for (NodeId n = 0; n < 500; ++n) {
+    const NodeId tuple[2] = {n, n};
+    set.AppendUnchecked(7, tuple, 2);
+    plain.AppendUnchecked(7, tuple, 2);
+  }
+  EXPECT_EQ(set.FlushSpill().ToString(), failed.ToString());
+  EXPECT_EQ(set.spill_status().ToString(), failed.ToString());
+  EXPECT_EQ(set.num_spill_segments(), 1u);
+  EXPECT_EQ(set.size(), appended + 500);
+  ExpectSetStreams(plain.Sorted(), set, "post-failure appends");
+}
+
 TEST(VioSpillFaultTest, TornFlushLosesNothing) {
   failpoint::Reset();
   failpoint::ArmSite("vioseg_write", failpoint::Mode::kShortWrite, 0);
@@ -251,6 +357,40 @@ TEST(VioSpillFaultTest, BitflippedSegmentFailsOpenWithCorruption) {
   ASSERT_GT(set.num_spill_segments(), 0u);
   // The bit flip "succeeded" (silent corruption); the open-time streamed
   // checksum pass must refuse before the first record is served.
+  auto cursor = set.OpenCursor();
+  ASSERT_FALSE(cursor.ok());
+  EXPECT_EQ(cursor.status().code(), StatusCode::kCorruption)
+      << cursor.status().ToString();
+}
+
+TEST(VioSpillFaultTest, BitflipInLastOfManySegmentsFailsOpen) {
+  // Count the segments of a clean run, then replay the same appends with
+  // the last segment's write corrupted: every checksum is verified
+  // (concurrently) before the first record, so OpenCursor must refuse.
+  size_t segments = 0;
+  {
+    VioSet set;
+    VioSpillOptions opts;
+    opts.path_prefix = TempPrefix("spill_lastflip_clean");
+    opts.budget_bytes = 4096;
+    set.EnableSpill(opts);
+    AppendLongTuples(4000, {&set});
+    ASSERT_TRUE(set.FlushSpill().ok());
+    segments = set.num_spill_segments();
+  }
+  ASSERT_GE(segments, 64u);
+  failpoint::Reset();
+  failpoint::ArmSite("vioseg_write", failpoint::Mode::kBitFlip, segments - 1);
+  VioSet set;
+  VioSpillOptions opts;
+  opts.path_prefix = TempPrefix("spill_lastflip");
+  opts.budget_bytes = 4096;
+  set.EnableSpill(opts);
+  AppendLongTuples(4000, {&set});
+  const Status flushed = set.FlushSpill();
+  failpoint::Reset();
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();  // silent corruption
+  ASSERT_EQ(set.num_spill_segments(), segments);
   auto cursor = set.OpenCursor();
   ASSERT_FALSE(cursor.ok());
   EXPECT_EQ(cursor.status().code(), StatusCode::kCorruption)
