@@ -1,9 +1,9 @@
 // The update journal: crash-safe epochs for the incremental engines.
 //
 // The paper's incremental detection (§5–6) consumes a stream of update
-// batches, one per commit epoch. A resident service (ROADMAP item 1)
-// must be able to lose the process at any instant and recover the exact
-// committed graph, so every epoch is journaled *before* it commits:
+// batches, one per commit epoch. A resident service (the parked `ngdd`
+// daemon) must be able to lose the process at any instant and recover the
+// exact committed graph, so every epoch is journaled *before* it commits:
 //
 //   1. mutate the graph: new nodes + a pending edge overlay (ΔG)
 //   2. wal->Append(EpochRecord::Capture(g, batch, ...));  wal->Sync();

@@ -61,8 +61,9 @@ struct PDectOptions : DetectControl {
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under
-  /// core starvation (ROADMAP item 3's 1-core fig4_il bug). 0 disables
-  /// the bound. Initial seeding is exempt (bounded by the seed volume).
+  /// core starvation (the 1-core queue-starvation bug: p PIncDect workers
+  /// sharing one core). 0 disables the bound. Initial seeding is exempt
+  /// (bounded by the seed volume).
   size_t max_queue_depth = 4096;
 };
 

@@ -1,8 +1,8 @@
 // Cooperative cancellation and deadlines for detection runs.
 //
-// A serving process (ROADMAP item 1: the `ngdd` daemon) must be able to
-// bound a detection call: a deadline-hit run returns an honest partial
-// result (`truncated` flag + per-rule completion marks) instead of
+// A serving process (such as the parked `ngdd` resident daemon) must be
+// able to bound a detection call: a deadline-hit run returns an honest
+// partial result (`truncated` flag + per-rule completion marks) instead of
 // blocking indefinitely or aborting. The primitives here are threaded
 // through DetectControl (detect/dect.h), shared by all four engines, and
 // checked inside the match-expansion inner loops and the work-stealing

@@ -1,8 +1,8 @@
 // Producer backpressure in WorkStealingPool (parallel/cluster.h).
 //
-// ROADMAP item 3's named bug: on a starved consumer (the 1-core
-// fig4_il configuration — p worker threads sharing one core), mid-run
-// split broadcasts and forwards accumulated unbounded queue state. The
+// The 1-core queue-starvation bug: on a starved consumer (p PIncDect
+// worker threads sharing one core), mid-run split broadcasts and forwards
+// accumulated unbounded queue state. The
 // fix bounds every mid-run Spawn/Forward with `max_queue_depth`: a
 // saturated target pushes back and the unit executes inline on the
 // producing worker instead of enqueueing.

@@ -285,11 +285,14 @@ TEST(FragmentPDectTest, ForwardingResolvesBoundaryCrossingHubs) {
 
 // ---- Differential: fragment-affine PIncDect vs IncDect -------------------
 
-TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
+class FragmentPIncDectTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
+  const int p = GetParam();
   const int cases = std::max(1, FragCases() / 2);
   for (int c = 0; c < cases; ++c) {
     const uint64_t seed = 2000 + 29 * static_cast<uint64_t>(c);
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE("seed " + std::to_string(seed) + " p " + std::to_string(p));
     SchemaPtr schema = Schema::Create();
     auto g = GenerateGraph(SyntheticConfig(400, 1100, seed), schema);
     NgdGenOptions gen;
@@ -307,9 +310,9 @@ TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
     auto oracle = IncDect(*g, sigma, batch);
     ASSERT_TRUE(oracle.ok());
 
-    FragmentRuntime rt(*g, 4, GraphView::kNew, 0);
+    FragmentRuntime rt(*g, p, GraphView::kNew, 0);
     PIncDectOptions opts;
-    opts.num_processors = 4;
+    opts.num_processors = p;
     opts.runtime = &rt;
     opts.enable_steal = true;
     opts.balance_interval_ms = 5;
@@ -334,6 +337,9 @@ TEST(FragmentPIncDectTest, RuntimePlacementAndStealingMatchOracle) {
     EXPECT_EQ(r2->delta.removed.size(), result->delta.removed.size());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Processors, FragmentPIncDectTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 }  // namespace
 }  // namespace ngd

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Checks a BENCH JSON file written by ngdbench.
 
-Every series must be present, including each Fig. 4 panel (a)-(n), each
-Exp-5 dataset and each engine-claims leg, and every value under a
-"timings_seconds" key must be a positive number.
+The top level must hold exactly the keys below: a series dropped or
+added without a schema edit is an error. Every series must be complete,
+including each Fig. 4 panel (a)-(n), each Exp-5 dataset and each
+engine-claims leg; "peak_rss_mb" and every value under a
+"timings_seconds" key must be positive numbers.
 
 usage: ngdbench_schema.py BENCH.json
 """
@@ -11,11 +13,8 @@ usage: ngdbench_schema.py BENCH.json
 import json
 import sys
 
-TOP_LEVEL = ["bench", "workload", "repetitions", "violations",
-             "timings_seconds", "speedups"]
-SERIES = ["sigma_minimize", "incremental", "fig4ad_sweep", "fig4_il",
-          "ingest", "wal_replay", "violation_heavy", "fig4_panels", "exp5",
-          "engine_claims", "violation_stream"]
+TOP_LEVEL = ["bench", "peak_rss_mb"]
+SERIES = ["fig4ad_sweep", "fig4_panels", "exp5", "engine_claims"]
 PANELS = list("abcdefghijklmn")
 EXP5_DATASETS = ["dbpedia-like", "yago2-like", "pokec-like"]
 CLAIMS = ["literal_overhead", "localizability", "hub_sweep_dect",
@@ -37,8 +36,17 @@ def timings(node, path):
             yield from timings(value, f"{path}[{i}]")
 
 
+def positive(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and value > 0
+
+
 def check(doc):
     errors = [f"missing key {k}" for k in TOP_LEVEL + SERIES if k not in doc]
+    errors += [f"unexpected top-level key {k}" for k in doc
+               if k not in TOP_LEVEL + SERIES]
+    if "peak_rss_mb" in doc and not positive(doc["peak_rss_mb"]):
+        errors.append(f"peak_rss_mb = {doc['peak_rss_mb']!r} is not positive")
     panels = doc.get("fig4_panels", {}).get("panels", {})
     for pid in PANELS:
         panel = panels.get(pid)
@@ -57,8 +65,7 @@ def check(doc):
     count = 0
     for where, seconds in timings(doc, "$"):
         count += 1
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
-                or seconds <= 0:
+        if not positive(seconds):
             errors.append(f"{where} = {seconds!r} is not a positive time")
     if count == 0:
         errors.append("no timings_seconds values found")

@@ -1,4 +1,4 @@
-// ngdbench: the one benchmark harness, emitting BENCH JSON.
+// ngdbench: the paper's evaluation harness, emitting BENCH JSON.
 //
 // Every measurement belongs to a series: a row of kSeries (bottom of the
 // file) with a run function, which measures and cross-checks and returns
@@ -9,19 +9,16 @@
 // Each series' section below says what it measures; EXPERIMENTS.md
 // documents every key.
 //
-// The pinned series run each timed stage --repetitions times and report the
-// minimum (the standard noise floor for perf tracking); graph_build and
-// rule_gen run once, since they seed the fixed inputs the stages share.
-// fig4_panels times each engine once per point, as the paper's cluster
-// jobs did.
+// fig4ad_sweep and engine_claims run each timed stage --repetitions times
+// and report the minimum (the standard noise floor for perf tracking).
+// fig4_panels and exp5 time each engine once per point, as the paper's
+// cluster jobs did.
 
-#include <unistd.h>
+#include <sys/resource.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -37,20 +34,14 @@
 #include "core/parser.h"
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
-#include "detect/vio_stream.h"
 #include "discovery/ngd_generator.h"
-#include "graph/delta_view.h"
 #include "graph/error_injector.h"
 #include "graph/generators.h"
-#include "graph/graph_io.h"
 #include "graph/snapshot.h"
-#include "graph/snapshot_io.h"
-#include "graph/update_log.h"
 #include "graph/updates.h"
 #include "match/homomorphism.h"
 #include "parallel/pdect.h"
 #include "parallel/pinc_dect.h"
-#include "reason/sigma_optimizer.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -58,45 +49,18 @@
 namespace ngd {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr const char* kUsage = R"(usage: ngdbench [options]
 
-Runs every benchmark series (the pinned batch, Σ-minimization,
-incremental, ingest, journal and streaming workloads, the paper's
-Fig. 4(a)-(n) panels, Exp-5 and the engine claims), cross-checks the
-engines against each other and writes the timings as BENCH JSON.
-Exits 1 on an engine error or a disagreement.
+Runs the paper's evaluation (the Fig. 4(a)-(d) |dG| sweep on a hub
+workload, the Fig. 4(a)-(n) panels, Exp-5 and the engine claims),
+cross-checks the engines against each other and writes the timings as
+BENCH JSON. Exits 1 on an engine error or a disagreement.
 
 options:
-  --nodes N          graph size (default 20000); fig4_panels and
-                     engine_claims scale their graphs by N / 20000
-  --edges N          edge count (default 60000)
-  --rules N          NGDs in Sigma (default 20)
-  --wildcard-prob P  wildcard density in generated patterns (default 0.6)
-  --pref-attach P    preferential-attachment fraction; higher = heavier
-                     degree tail (default 0.85)
-  --node-labels N    node-label alphabet size; smaller = larger candidate
-                     sets (default 25)
-  --edge-labels N    edge-label alphabet size; larger = more selective
-                     label ranges (default 50)
-  --violation-rate P fraction of rule thresholds tightened to violate
-                     (default 0.02; note the pinned default workload is
-                     still violation-heavy — wildcard-dense rules on a
-                     heavy-tailed graph — so result materialization
-                     dominates and the live/snapshot ratio hugs 1; see
-                     EXPERIMENTS.md section 3)
-  --seed S           workload seed (default 7)
-  --update-fraction P  |dG| as a fraction of |E| for the incremental
-                     stages (default 0.1; gamma = 1, no new nodes)
-  --ingest-scale F   size multiplier for the ingest-series datasets
-                     (default 1.0 = DBpedia/YAGO2/Pokec-like graphs at
-                     >= 10x the pinned default workload; the ctest smoke
-                     uses a small fraction)
-  --tmpdir DIR       scratch directory for the ingest series' TSV and
-                     snapshot files (default: the system temp directory)
-  --parallel N       processors for the PDect/PIncDect stages and the
-                     chunk-parallel TSV parse (default 4)
+  --nodes N          fig4_panels and engine_claims scale their graphs
+                     by N / 20000 (default 20000)
+  --parallel N       processors for the fig4ad_sweep PIncDect engines
+                     (default 4)
   --repetitions R    timed repetitions per stage, minimum reported
                      (default 3)
   --out FILE         output path (default BENCH_detect.json; "-" = stdout
@@ -106,17 +70,6 @@ options:
 
 struct Options {
   size_t nodes = 20000;
-  size_t edges = 60000;
-  size_t rules = 20;
-  double wildcard_prob = 0.6;
-  double pref_attach = 0.85;
-  size_t node_labels = 25;
-  size_t edge_labels = 50;
-  double violation_rate = 0.02;
-  double update_fraction = 0.1;
-  double ingest_scale = 1.0;
-  std::string tmpdir;
-  uint64_t seed = 7;
   int parallel = 4;
   int repetitions = 3;
   std::string out = "BENCH_detect.json";
@@ -132,71 +85,29 @@ bool ParseArgs(int argc, char** argv, Options* opts, std::string* error) {
       }
       return argv[++i];
     };
-    auto reject = [&](const char* what) {
-      *error = std::string(arg) + " requires " + what;
-      return false;
-    };
     // An integer flag in [lo, hi]; `what` names the accepted values.
     auto parse_int = [&](int64_t lo, int64_t hi, const char* what, auto* dst) {
       const char* v = value();
       if (v == nullptr) return false;
       auto n = ParseInt64(v);
-      if (!n || *n < lo || *n > hi) return reject(what);
+      if (!n || *n < lo || *n > hi) {
+        *error = std::string(arg) + " requires " + what;
+        return false;
+      }
       *dst = static_cast<std::remove_pointer_t<decltype(dst)>>(*n);
       return true;
-    };
-    // A real flag in [lo, hi], or (lo, hi] when `open_lo`.
-    auto parse_real = [&](double lo, double hi, bool open_lo, const char* what,
-                          double* dst) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      double p = std::strtod(v, &end);
-      if (end == v || *end != '\0' || p < lo || p > hi ||
-          (open_lo && p == lo)) {
-        return reject(what);
-      }
-      *dst = p;
-      return true;
-    };
-    constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
-    auto parse_count = [&](size_t* dst) {
-      return parse_int(1, kMaxCount, "a positive count", dst);
-    };
-    auto parse_prob = [&](double* dst) {
-      return parse_real(0.0, 1.0, false, "a probability in [0, 1]", dst);
     };
     bool ok = true;
     if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
     } else if (arg == "--nodes") {
-      ok = parse_count(&opts->nodes);
-    } else if (arg == "--edges") {
-      ok = parse_count(&opts->edges);
-    } else if (arg == "--rules") {
-      ok = parse_count(&opts->rules);
-    } else if (arg == "--wildcard-prob") {
-      ok = parse_prob(&opts->wildcard_prob);
-    } else if (arg == "--pref-attach") {
-      ok = parse_prob(&opts->pref_attach);
-    } else if (arg == "--node-labels") {
-      ok = parse_count(&opts->node_labels);
-    } else if (arg == "--edge-labels") {
-      ok = parse_count(&opts->edge_labels);
-    } else if (arg == "--violation-rate") {
-      ok = parse_prob(&opts->violation_rate);
-    } else if (arg == "--update-fraction") {
-      ok = parse_prob(&opts->update_fraction);
-    } else if (arg == "--ingest-scale") {
-      ok = parse_real(0.0, 1000.0, true, "a multiplier in (0, 1000]",
-                      &opts->ingest_scale);
-    } else if (arg == "--tmpdir" || arg == "--out") {
+      ok = parse_int(1, std::numeric_limits<int64_t>::max(), "a positive count",
+                     &opts->nodes);
+    } else if (arg == "--out") {
       const char* v = value();
       ok = v != nullptr;
-      if (ok) (arg == "--tmpdir" ? opts->tmpdir : opts->out) = v;
-    } else if (arg == "--seed") {
-      ok = parse_int(0, kMaxCount, "a non-negative integer", &opts->seed);
+      if (ok) opts->out = v;
     } else if (arg == "--parallel") {
       ok = parse_int(1, 1024, "a processor count in [1, 1024]",
                      &opts->parallel);
@@ -298,48 +209,6 @@ class JsonWriter {
 
   std::ostringstream os_;
   std::vector<Level> stack_;
-};
-
-/// The scratch directory: --tmpdir, or the system temp directory.
-StatusOr<fs::path> ScratchDir(const Options& opts) {
-  if (!opts.tmpdir.empty()) return fs::path(opts.tmpdir);
-  std::error_code ec;
-  fs::path dir = fs::temp_directory_path(ec);
-  if (ec) return Status::NotFound("no temp directory: " + ec.message());
-  return dir;
-}
-
-/// A series' scratch files, all named "<dir>/<tag>.*". Every such file is
-/// removed when the guard dies, so no exit path (a failed write, a sticky
-/// spill error) leaves multi-MB files behind in a shared temp directory.
-/// The PID in the tag keeps concurrent runs sharing a tmpdir (CI shards on
-/// one host) from rewriting each other's files mid-run.
-class Scratch {
- public:
-  Scratch(fs::path dir, const std::string& series, const Options& opts)
-      : dir_(std::move(dir)),
-        tag_("ngdbench_" + series + "_" + std::to_string(::getpid()) + "_" +
-             std::to_string(opts.seed)) {}
-  Scratch(const Scratch&) = delete;
-  Scratch& operator=(const Scratch&) = delete;
-  ~Scratch() {
-    std::error_code ec;
-    std::vector<fs::path> mine;
-    for (const fs::directory_entry& e : fs::directory_iterator(dir_, ec)) {
-      if (e.path().filename().string().rfind(tag_ + ".", 0) == 0) {
-        mine.push_back(e.path());
-      }
-    }
-    for (const fs::path& p : mine) fs::remove(p, ec);
-  }
-
-  std::string Path(const std::string& suffix) const {
-    return (dir_ / (tag_ + "." + suffix)).string();
-  }
-
- private:
-  const fs::path dir_;
-  const std::string tag_;
 };
 
 DectOptions DectWith(SnapshotMode mode) {
@@ -478,281 +347,6 @@ Status RunFourWay(const Options& opts, const Graph& g, const NgdSet& sigma,
     }
   }
   return Status::OK();
-}
-
-/// The four engines' entries of the open timings_seconds object.
-void EmitFourWayTimings(const FourWay& r, const Options& opts,
-                        JsonWriter* j) {
-  const std::string p = std::to_string(opts.parallel);
-  j->Field("inc_dect_live", r.inc_live_s)
-      .Field("inc_dect_delta_view", r.inc_dv_s)
-      .Field("pinc_dect_live_p" + p, r.pinc_live_s)
-      .Field("pinc_dect_delta_view_p" + p, r.pinc_dv_s);
-}
-
-/// The delta-view-vs-live entries of the open speedups object.
-void EmitFourWaySpeedups(const FourWay& r, JsonWriter* j) {
-  j->Field("inc_dect_delta_view_vs_live", Ratio(r.inc_live_s, r.inc_dv_s))
-      .Field("pinc_dect_delta_view_vs_live",
-             Ratio(r.pinc_live_s, r.pinc_dv_s));
-}
-
-// ---- batch: the pinned default workload ----------------------------------
-//
-// Times graph generation, rule generation, the CSR snapshot build, live vs
-// snapshot Dect and fragment-native PDect; emitted as the top-level keys.
-// The workload is shared: sigma_minimize inflates rules against its graph,
-// incremental applies a ΔG to it, violation_heavy re-reports it.
-
-struct BatchStats {
-  SchemaPtr schema;
-  std::unique_ptr<Graph> graph;
-  NgdSet sigma;
-  size_t violations = 0;
-  double graph_build_s = 0.0;
-  double rule_gen_s = 0.0;
-  double snapshot_build_s = 0.0;
-  double dect_live_s = 0.0;
-  double dect_snapshot_s = 0.0;
-  double runtime_build_s = 0.0;
-  double pdect_s = 0.0;
-};
-
-NgdGenOptions DefaultRuleGen(const Options& opts) {
-  NgdGenOptions gen;
-  gen.count = opts.rules;
-  gen.max_diameter = 3;
-  gen.seed = opts.seed + 1;
-  gen.violation_rate = opts.violation_rate;
-  gen.wildcard_prob = opts.wildcard_prob;
-  return gen;
-}
-
-Status RunBatch(const Options& opts, BatchStats* st) {
-  GraphGenConfig config = SyntheticConfig(opts.nodes, opts.edges, opts.seed);
-  config.pref_attach = opts.pref_attach;
-  config.num_node_labels = opts.node_labels;
-  config.num_edge_labels = opts.edge_labels;
-  st->schema = Schema::Create();
-  st->graph_build_s =
-      TimeMin(1, [&]() { st->graph = GenerateGraph(config, st->schema); });
-  const Graph& g = *st->graph;
-  st->rule_gen_s = TimeMin(
-      1, [&]() { st->sigma = GenerateNgdSet(g, DefaultRuleGen(opts)); });
-  if (st->sigma.empty()) {
-    return Status::Internal("rule generation produced an empty Sigma");
-  }
-  const NgdSet& sigma = st->sigma;
-
-  st->snapshot_build_s = TimeMin(opts.repetitions, [&]() {
-    GraphSnapshot snap(g, GraphView::kNew);
-    if (snap.NumNodes() != g.NumNodes()) std::abort();
-  });
-  size_t live = 0, snapshot = 0, pdect = 0;
-  st->dect_live_s = TimeMin(opts.repetitions, [&]() {
-    live = Dect(g, sigma, DectWith(SnapshotMode::kNever)).size();
-  });
-  st->dect_snapshot_s = TimeMin(opts.repetitions, [&]() {
-    snapshot = Dect(g, sigma, DectWith(SnapshotMode::kAlways)).size();
-  });
-
-  // Fragment-native PDect over a pre-built runtime: partitioning and
-  // fragment-CSR construction are the amortized per-epoch cost (timed as
-  // runtime_build), so the loop measures steady-state detection.
-  WallTimer runtime_build_timer;
-  const FragmentRuntime rt(g, opts.parallel, GraphView::kNew,
-                           sigma.MaxDiameter());
-  st->runtime_build_s = runtime_build_timer.ElapsedSeconds();
-  st->pdect_s = TimeMin(opts.repetitions, [&]() {
-    PDectOptions p;
-    p.num_processors = opts.parallel;
-    p.runtime = &rt;
-    pdect = PDect(g, sigma, p).vio.size();
-  });
-  if (live != snapshot || live != pdect) {
-    return Status::Internal("engines disagree: live=" + std::to_string(live) +
-                            " snapshot=" + std::to_string(snapshot) +
-                            " pdect=" + std::to_string(pdect));
-  }
-  st->violations = live;
-  return Status::OK();
-}
-
-void EmitBatch(const BatchStats& st, const Options& opts, JsonWriter* j) {
-  j->Object("workload")
-      .Field("nodes", st.graph->NumNodes())
-      .Field("edges", st.graph->NumEdges(GraphView::kNew))
-      .Field("rules", st.sigma.size())
-      .Field("wildcard_prob", opts.wildcard_prob)
-      .Field("pref_attach", opts.pref_attach)
-      .Field("node_labels", opts.node_labels)
-      .Field("edge_labels", opts.edge_labels)
-      .Field("seed", opts.seed)
-      .End();
-  j->Field("repetitions", opts.repetitions).Field("violations", st.violations);
-  const std::string p = std::to_string(opts.parallel);
-  j->Object("timings_seconds")
-      .Field("graph_build", st.graph_build_s)
-      .Field("rule_gen", st.rule_gen_s)
-      .Field("snapshot_build", st.snapshot_build_s)
-      .Field("dect_live", st.dect_live_s)
-      .Field("dect_snapshot", st.dect_snapshot_s)
-      .Field("fragment_runtime_build_p" + p, st.runtime_build_s)
-      .Field("pdect_fragment_p" + p, st.pdect_s)
-      .End();
-  j->Object("speedups")
-      .Field("dect_snapshot_vs_live", Ratio(st.dect_live_s, st.dect_snapshot_s))
-      // How many live-engine Dect calls one snapshot build is worth: the
-      // build amortizes when this is large.
-      .Field("dect_live_over_snapshot_build",
-             Ratio(st.dect_live_s, st.snapshot_build_s))
-      .End();
-}
-
-// ---- sigma_minimize: the inflated-Σ (heavy rule catalog) regime ----------
-//
-// Production catalogs accumulate redundancy (merged sources, weakened
-// copies); model it by inflating a fresh base rule set with implied
-// variants and compare batch detection with minimization off vs on
-// (DectOptions::minimize_sigma = kAlways; the kept-set is fingerprint-
-// cached, so a warm-up call puts the timed runs in the production steady
-// state — one optimizer run per catalog version). The cold optimizer cost
-// is timed separately. Target: >= 1.5x with minimization on. Cross-checked:
-// the minimized run must reproduce the kept rules' violations exactly and
-// preserve emptiness.
-
-struct SigmaStats {
-  size_t rules_base = 0;
-  size_t rules_inflated = 0;
-  OptimizeReport report;
-  size_t violations_full = 0;
-  size_t violations_kept = 0;
-  double minimize_cold_s = 0.0;
-  double dect_full_s = 0.0;
-  double dect_min_s = 0.0;
-};
-
-Status RunSigmaMinimize(const Options& opts, const BatchStats& batch,
-                        SigmaStats* st) {
-  const Graph& g = *batch.graph;
-  NgdGenOptions gen = DefaultRuleGen(opts);
-  gen.count = 8;
-  gen.seed = opts.seed + 5;
-  const NgdSet base = GenerateNgdSet(g, gen);
-  InflateOptions inflate;
-  inflate.variants_per_rule = 4;
-  inflate.duplicate_fraction = 0.25;
-  inflate.seed = opts.seed + 6;
-  const NgdSet inflated = InflateWithImpliedVariants(base, inflate);
-  st->rules_base = base.size();
-  st->rules_inflated = inflated.size();
-
-  WallTimer cold_timer;
-  const MinimizedSigma minimized = MinimizeSigma(inflated, batch.schema);
-  st->minimize_cold_s = cold_timer.ElapsedSeconds();
-  st->report = minimized.report;
-
-  const DectOptions full_opts = DectWith(SnapshotMode::kAlways);
-  DectOptions min_opts = full_opts;
-  min_opts.minimize_sigma = MinimizeMode::kAlways;
-  VioSet vio_full, vio_min;
-  st->dect_full_s = TimeMin(opts.repetitions,
-                            [&]() { vio_full = Dect(g, inflated, full_opts); });
-  // Warm the kept-set cache so the timed loop measures steady state.
-  (void)Dect(g, inflated, min_opts);
-  st->dect_min_s = TimeMin(opts.repetitions,
-                           [&]() { vio_min = Dect(g, inflated, min_opts); });
-  st->violations_full = vio_full.size();
-  st->violations_kept = vio_min.size();
-
-  // Kept-rule violations must be preserved exactly.
-  std::vector<bool> kept_rule(inflated.size(), false);
-  for (int k : minimized.report.kept) kept_rule[static_cast<size_t>(k)] = true;
-  VioSet expect;
-  for (const Violation& v : vio_full.items()) {
-    if (kept_rule[static_cast<size_t>(v.ngd_index)]) expect.Add(v);
-  }
-  if (!SameVio(expect, vio_min) || vio_full.empty() != vio_min.empty()) {
-    return Status::Internal(
-        "engines disagree: full=" + std::to_string(vio_full.size()) +
-        " kept-filtered=" + std::to_string(expect.size()) +
-        " minimized=" + std::to_string(vio_min.size()));
-  }
-  return Status::OK();
-}
-
-void EmitSigmaMinimize(const SigmaStats& st, JsonWriter* j) {
-  j->Field("rules_base", st.rules_base)
-      .Field("rules_inflated", st.rules_inflated)
-      .Field("rules_kept", st.report.kept.size())
-      .Field("duplicate_drops", st.report.duplicate_drops)
-      .Field("implication_checks", st.report.implication_checks)
-      .Field("unknown_checks", st.report.unknown)
-      .Field("violations_full", st.violations_full)
-      .Field("violations_kept", st.violations_kept);
-  j->Object("timings_seconds")
-      .Field("minimize_cold", st.minimize_cold_s)
-      .Field("dect_full", st.dect_full_s)
-      .Field("dect_minimized", st.dect_min_s)
-      .End();
-  j->Object("speedups")
-      // The tracked headline: batch detection under the inflated catalog
-      // with minimization on vs off (target >= 1.5x).
-      .Field("dect_minimized_vs_full", Ratio(st.dect_full_s, st.dect_min_s))
-      // How many full-catalog Dect calls one cold optimizer run costs: the
-      // per-catalog-version minimization amortizes across this many calls.
-      .Field("dect_full_over_minimize_cold",
-             Ratio(st.dect_full_s, st.minimize_cold_s))
-      .End();
-}
-
-// ---- incremental: ΔG as the pending overlay on the default workload -------
-
-struct IncStats {
-  size_t updates = 0;
-  double base_snapshot_build_s = 0.0;
-  double delta_view_build_s = 0.0;
-  FourWay run;
-};
-
-Status RunIncremental(const Options& opts, BatchStats* batch, IncStats* st) {
-  Graph& g = *batch->graph;
-  UpdateBatch updates = MakeBatch(&g, opts.update_fraction, opts.seed + 2);
-  NGD_RETURN_IF_ERROR(ApplyUpdateBatch(&g, &updates));
-  st->updates = updates.size();
-  st->base_snapshot_build_s = TimeMin(opts.repetitions, [&]() {
-    GraphSnapshot base(g, GraphView::kOld);
-    if (base.NumNodes() != g.NumNodes()) std::abort();
-  });
-  // The base snapshot a deployment keeps per commit epoch; shared by the
-  // delta-view engines so they time exactly the per-batch cost.
-  const GraphSnapshot base(g, GraphView::kOld);
-  st->delta_view_build_s = TimeMin(opts.repetitions, [&]() {
-    DeltaView dv(base, g, updates);
-    if (dv.NumNodes() != g.NumNodes()) std::abort();
-  });
-  const Status s = RunFourWay(opts, g, batch->sigma, updates, base, &st->run);
-  g.Rollback();
-  return s;
-}
-
-void EmitIncremental(const IncStats& st, const Options& opts, JsonWriter* j) {
-  const FourWay& r = st.run;
-  j->Field("update_fraction", opts.update_fraction)
-      .Field("updates", st.updates)
-      .Field("delta_added", r.delta.added.size())
-      .Field("delta_removed", r.delta.removed.size());
-  j->Object("timings_seconds")
-      .Field("base_snapshot_build", st.base_snapshot_build_s)
-      .Field("delta_view_build", st.delta_view_build_s);
-  EmitFourWayTimings(r, opts, j);
-  j->End().Object("speedups");
-  EmitFourWaySpeedups(r, j);
-  // How many live IncDect calls one base-snapshot build costs: the
-  // per-epoch build amortizes across this many batches.
-  j->Field("inc_dect_live_over_base_build",
-           Ratio(r.inc_live_s, st.base_snapshot_build_s))
-      .End();
 }
 
 // ---- Pinned hub workload for the Fig. 4(a)-(d) incremental sweep -------
@@ -913,6 +507,7 @@ void EmitHubSweep(const std::vector<SweepPoint>& sweep, const Options& opts,
       .Field("feeds_per_hub", kSweepFeedsPerHub)
       .Field("rules", kSweepRules)
       .End();
+  const std::string p = std::to_string(opts.parallel);
   double min_dv_speedup = -1.0;
   j->Array("points");
   for (const SweepPoint& pt : sweep) {
@@ -922,11 +517,18 @@ void EmitHubSweep(const std::vector<SweepPoint>& sweep, const Options& opts,
         .Field("updates", pt.updates)
         .Field("delta_added", r.delta.added.size())
         .Field("delta_removed", r.delta.removed.size());
-    j->Object("timings_seconds");
-    EmitFourWayTimings(r, opts, j);
-    j->End().Object("speedups");
-    EmitFourWaySpeedups(r, j);
-    j->End().End();
+    j->Object("timings_seconds")
+        .Field("inc_dect_live", r.inc_live_s)
+        .Field("inc_dect_delta_view", r.inc_dv_s)
+        .Field("pinc_dect_live_p" + p, r.pinc_live_s)
+        .Field("pinc_dect_delta_view_p" + p, r.pinc_dv_s)
+        .End();
+    j->Object("speedups")
+        .Field("inc_dect_delta_view_vs_live", Ratio(r.inc_live_s, r.inc_dv_s))
+        .Field("pinc_dect_delta_view_vs_live",
+               Ratio(r.pinc_live_s, r.pinc_dv_s))
+        .End()
+        .End();
     const double s = Ratio(r.inc_live_s, r.inc_dv_s);
     if (min_dv_speedup < 0.0 || s < min_dv_speedup) min_dv_speedup = s;
   }
@@ -934,631 +536,6 @@ void EmitHubSweep(const std::vector<SweepPoint>& sweep, const Options& opts,
   // The tracked headline: delta-view IncDect vs the live baseline across
   // the whole |dG| sweep (target >= 1.5x at every point).
   j->Field("min_inc_dect_delta_view_vs_live", min_dv_speedup);
-}
-
-// ---- fig4_il: the Fig. 4(i)/(l) processor-scaling series -----------------
-//
-// Fragment-native PDect and PIncDect across p ∈ {1, 2, 4, 8} fragments on
-// a hub-heavy workload ≥ 10× the pinned default: FragmentRuntime
-// construction (partition + per-fragment CSR + halo) is timed separately
-// as the amortized per-epoch cost, detection over the pre-built runtime
-// is the steady-state number, and every run is cross-checked against the
-// sequential Dect/IncDect oracles. Communication metrics (messages,
-// replicated halo nodes, forwards/splits/steals) come straight from
-// ClusterMetrics, so the series shows the replication-vs-parallelism
-// trade the paper plots, not just wall clock. NOTE: processors are
-// simulated by threads; on machines with fewer cores than p the wall
-// clock does not scale even though the work/communication split does.
-
-struct ScalePoint {
-  int processors = 0;
-  double runtime_build_s = 0.0;
-  double pdect_s = 0.0;
-  double pinc_s = 0.0;
-  size_t crossing_edges = 0;
-  uint64_t replicated_nodes = 0;
-  ClusterMetricsSnapshot pdect_metrics;
-  ClusterMetricsSnapshot pinc_metrics;
-};
-
-struct ScaleSeries {
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t violations = 0;
-  size_t updates = 0;
-  std::vector<ScalePoint> points;
-};
-
-Status RunProcessorScaling(const Options& opts, ScaleSeries* out) {
-  GraphGenConfig config =
-      SyntheticConfig(opts.nodes * 10, opts.edges * 10, opts.seed + 30);
-  config.pref_attach = 0.95;  // heavy degree tail: real hubs to split over
-  config.num_node_labels = opts.node_labels;
-  config.num_edge_labels = opts.edge_labels;
-  SchemaPtr schema = Schema::Create();
-  std::unique_ptr<Graph> graph = GenerateGraph(config, schema);
-
-  NgdGenOptions gen;
-  gen.count = 6;
-  gen.max_diameter = 3;
-  gen.seed = opts.seed + 31;
-  gen.violation_rate = 0.02;
-  gen.wildcard_prob = opts.wildcard_prob;
-  const NgdSet sigma = GenerateNgdSet(*graph, gen);
-  if (sigma.empty()) return Status::Internal("empty Sigma");
-
-  const VioSet oracle = Dect(*graph, sigma);
-  out->nodes = graph->NumNodes();
-  out->edges = graph->NumEdges(GraphView::kNew);
-  out->violations = oracle.size();
-
-  // Batch leg: runtimes are built against the committed graph and kept —
-  // the incremental leg reuses their partitions for pivot placement.
-  std::vector<FragmentRuntime> runtimes;
-  runtimes.reserve(4);
-  for (int p : {1, 2, 4, 8}) {
-    ScalePoint pt;
-    pt.processors = p;
-    WallTimer build_timer;
-    runtimes.emplace_back(*graph, p, GraphView::kNew, sigma.MaxDiameter());
-    const FragmentRuntime& rt = runtimes.back();
-    pt.runtime_build_s = build_timer.ElapsedSeconds();
-    pt.crossing_edges = rt.partition().crossing_edges;
-    pt.replicated_nodes = rt.total_halo_nodes();
-
-    PDectResult r;
-    pt.pdect_s = TimeMin(opts.repetitions, [&]() {
-      PDectOptions po;
-      po.num_processors = p;
-      po.runtime = &rt;
-      r = PDect(*graph, sigma, po);
-    });
-    if (!SameVio(oracle, r.vio)) {
-      return Status::Internal(
-          "fragment PDect disagrees with Dect at p=" + std::to_string(p) +
-          ": " + std::to_string(r.vio.size()) + " vs " +
-          std::to_string(oracle.size()));
-    }
-    pt.pdect_metrics = r.metrics;
-    out->points.push_back(pt);
-  }
-
-  // Incremental leg: one pinned ΔG (no new nodes, so the pre-batch
-  // partitions still cover every pivot endpoint) as the pending overlay.
-  UpdateBatch batch = MakeBatch(graph.get(), 0.05, opts.seed + 32);
-  NGD_RETURN_IF_ERROR(ApplyUpdateBatch(graph.get(), &batch));
-  out->updates = batch.size();
-  NGD_ASSIGN_OR_RETURN(const DeltaVio inc_oracle,
-                       IncDect(*graph, sigma, batch, LiveIncOptions()));
-  for (size_t i = 0; i < out->points.size(); ++i) {
-    ScalePoint& pt = out->points[i];
-    PIncDectOptions po = LivePIncOptions(pt.processors);
-    po.runtime = &runtimes[i];
-    po.enable_steal = true;
-    DeltaVio delta;
-    NGD_RETURN_IF_ERROR(TimeChecked(opts.repetitions, &pt.pinc_s, [&]() {
-      return RunIncEngine("PIncDect", *graph, sigma, batch, po, nullptr,
-                          &delta, &pt.pinc_metrics);
-    }));
-    if (!SameDelta(inc_oracle, delta)) {
-      return Status::Internal("fragment PIncDect disagrees with IncDect at p=" +
-                              std::to_string(pt.processors));
-    }
-  }
-  graph->Rollback();
-  return Status::OK();
-}
-
-void EmitProcessorScaling(const ScaleSeries& scaling, JsonWriter* j) {
-  j->Object("workload")
-      .Field("nodes", scaling.nodes)
-      .Field("edges", scaling.edges)
-      .Field("violations", scaling.violations)
-      .Field("updates", scaling.updates)
-      .End();
-  j->Array("points");
-  for (const ScalePoint& pt : scaling.points) {
-    const ClusterMetricsSnapshot& dm = pt.pdect_metrics;
-    const ClusterMetricsSnapshot& pm = pt.pinc_metrics;
-    j->Object()
-        .Field("processors", pt.processors)
-        .Field("crossing_edges", pt.crossing_edges)
-        .Field("replicated_nodes", pt.replicated_nodes);
-    j->Object("timings_seconds")
-        .Field("runtime_build", pt.runtime_build_s)
-        .Field("pdect", pt.pdect_s)
-        .Field("pinc_dect", pt.pinc_s)
-        .End();
-    j->Object("pdect_metrics")
-        .Field("messages", dm.messages)
-        .Field("work_units", dm.work_units)
-        .Field("splits", dm.splits)
-        .Field("forwards", dm.forwards)
-        .Field("steals", dm.steals)
-        .End();
-    j->Object("pinc_dect_metrics")
-        .Field("messages", pm.messages)
-        .Field("replicated_nodes", pm.replicated_nodes)
-        .Field("work_units", pm.work_units)
-        .Field("splits", pm.splits)
-        .Field("balance_moves", pm.balance_moves)
-        .Field("steals", pm.steals)
-        .End();
-    j->End();
-  }
-  j->End();
-  // The tracked headline: fragment-native PDect at p = 8 vs p = 1 on the
-  // 10x hub workload (target >= 1.5x on a machine with >= 8 cores;
-  // simulated processors cannot beat wall clock on fewer).
-  const ScalePoint& p1 = scaling.points.front();
-  const ScalePoint& p8 = scaling.points.back();
-  j->Field("pdect_speedup_p8_vs_p1", Ratio(p1.pdect_s, p8.pdect_s))
-      .Field("pinc_dect_speedup_p8_vs_p1", Ratio(p1.pinc_s, p8.pinc_s));
-}
-
-// ---- ingest: TSV parse vs binary snapshot load ---------------------------
-//
-// Three generator presets mirroring the paper's real datasets (label
-// alphabets, density, skew; graph/generators.h), sized so the largest —
-// pokec_like, the densest — carries ≥ 10× the edges of the pinned
-// default detection workload at --ingest-scale 1. Each dataset is
-// written as TSV, re-parsed sequentially (the pre-PR-5 loader's cost)
-// and chunk-parallel, then persisted and re-loaded as a binary snapshot.
-// All three ingestion paths must agree on the snapshot fingerprint.
-
-struct IngestStat {
-  std::string name;
-  size_t nodes = 0;
-  size_t edges = 0;
-  uintmax_t tsv_bytes = 0;
-  uintmax_t snapshot_bytes = 0;
-  double generate_s = 0.0;
-  double tsv_write_s = 0.0;
-  double tsv_parse_seq_s = 0.0;
-  double tsv_parse_par_s = 0.0;
-  double snapshot_build_s = 0.0;
-  double snapshot_save_s = 0.0;
-  double snapshot_load_s = 0.0;
-};
-
-/// Times LoadGraphFile with `threads` parse threads, keeping the last graph.
-Status TimeTsvParse(const Options& opts, const std::string& path, int threads,
-                    double* seconds, std::unique_ptr<Graph>* out) {
-  IngestOptions io;
-  io.threads = threads;
-  return TimeChecked(opts.repetitions, seconds, [&]() -> Status {
-    NGD_ASSIGN_OR_RETURN(*out, LoadGraphFile(path, Schema::Create(), io));
-    return Status::OK();
-  });
-}
-
-Status RunIngestDataset(const Options& opts, const Scratch& scratch,
-                        const GraphGenConfig& config, IngestStat* st) {
-  SchemaPtr gen_schema = Schema::Create();
-  std::unique_ptr<Graph> generated;
-  st->generate_s =
-      TimeMin(1, [&]() { generated = GenerateGraph(config, gen_schema); });
-  st->nodes = generated->NumNodes();
-  st->edges = generated->NumEdges(GraphView::kNew);
-
-  const std::string tsv_path = scratch.Path(st->name + ".tsv");
-  const std::string snap_path = scratch.Path(st->name + ".ngds");
-  NGD_RETURN_IF_ERROR(TimeChecked(1, &st->tsv_write_s, [&]() {
-    return SaveGraphFile(*generated, tsv_path);
-  }));
-  generated.reset();  // parsers are timed without the generator resident
-
-  std::unique_ptr<Graph> parsed_seq, parsed_par;
-  NGD_RETURN_IF_ERROR(
-      TimeTsvParse(opts, tsv_path, 1, &st->tsv_parse_seq_s, &parsed_seq));
-  NGD_RETURN_IF_ERROR(TimeTsvParse(opts, tsv_path, opts.parallel,
-                                   &st->tsv_parse_par_s, &parsed_par));
-  if (parsed_seq->NumNodes() != st->nodes ||
-      parsed_seq->NumEdges(GraphView::kNew) != st->edges) {
-    return Status::Internal(
-        "tsv round-trip size mismatch: " +
-        std::to_string(parsed_seq->NumNodes()) + " nodes / " +
-        std::to_string(parsed_seq->NumEdges(GraphView::kNew)) + " edges");
-  }
-
-  st->snapshot_build_s = TimeMin(opts.repetitions, [&]() {
-    GraphSnapshot snap(*parsed_seq, GraphView::kNew);
-    if (snap.NumNodes() != st->nodes) std::abort();
-  });
-  const GraphSnapshot snap(*parsed_seq, GraphView::kNew);
-  NGD_RETURN_IF_ERROR(TimeChecked(1, &st->snapshot_save_s, [&]() {
-    return SaveSnapshotFile(snap, snap_path);
-  }));
-  std::unique_ptr<GraphSnapshot> loaded;
-  NGD_RETURN_IF_ERROR(
-      TimeChecked(opts.repetitions, &st->snapshot_load_s, [&]() -> Status {
-        NGD_ASSIGN_OR_RETURN(loaded,
-                             LoadSnapshotFile(snap_path, Schema::Create()));
-        return Status::OK();
-      }));
-
-  // The three ingestion paths must produce the same graph, bit for bit
-  // in fingerprint terms (sequential parse is the oracle; its schema
-  // intern order is the canonical file order both others reproduce).
-  const uint64_t fp_seq = SnapshotFingerprint(snap);
-  const uint64_t fp_par =
-      SnapshotFingerprint(GraphSnapshot(*parsed_par, GraphView::kNew));
-  const uint64_t fp_bin = SnapshotFingerprint(*loaded);
-  if (fp_seq != fp_par || fp_seq != fp_bin) {
-    std::ostringstream msg;
-    msg << "ingestion paths disagree: seq=" << std::hex << fp_seq
-        << " par=" << fp_par << " binary=" << fp_bin;
-    return Status::Internal(msg.str());
-  }
-  std::error_code ec;
-  st->tsv_bytes = fs::file_size(tsv_path, ec);
-  st->snapshot_bytes = fs::file_size(snap_path, ec);
-  return Status::OK();
-}
-
-Status RunIngest(const Options& opts, std::vector<IngestStat>* out) {
-  NGD_ASSIGN_OR_RETURN(fs::path dir, ScratchDir(opts));
-  const Scratch scratch(std::move(dir), "ingest", opts);
-  const double s = opts.ingest_scale;
-  const std::pair<const char*, GraphGenConfig> specs[] = {
-      {"dbpedia_like", DBpediaLikeConfig(0.008 * s, opts.seed + 10)},
-      {"yago2_like", Yago2LikeConfig(0.05 * s, opts.seed + 11)},
-      {"pokec_like", PokecLikeConfig(0.02 * s, opts.seed + 12)},
-  };
-  for (const auto& [name, config] : specs) {
-    IngestStat st;
-    st.name = name;
-    const Status status = RunIngestDataset(opts, scratch, config, &st);
-    if (!status.ok()) {
-      return Status(status.code(), st.name + ": " + status.message());
-    }
-    out->push_back(st);
-  }
-  return Status::OK();
-}
-
-void EmitIngest(const std::vector<IngestStat>& ingest, const Options& opts,
-                JsonWriter* j) {
-  j->Field("scale", opts.ingest_scale).Field("parse_threads", opts.parallel);
-  const IngestStat* largest = &ingest[0];
-  j->Array("datasets");
-  for (const IngestStat& st : ingest) {
-    if (st.edges > largest->edges) largest = &st;
-    j->Object()
-        .Field("name", st.name)
-        .Field("nodes", st.nodes)
-        .Field("edges", st.edges)
-        .Field("tsv_bytes", st.tsv_bytes)
-        .Field("snapshot_bytes", st.snapshot_bytes);
-    j->Object("timings_seconds")
-        .Field("generate", st.generate_s)
-        .Field("tsv_write", st.tsv_write_s)
-        .Field("tsv_parse_seq", st.tsv_parse_seq_s)
-        .Field("tsv_parse_par_t" + std::to_string(opts.parallel),
-               st.tsv_parse_par_s)
-        .Field("snapshot_build", st.snapshot_build_s)
-        .Field("snapshot_save", st.snapshot_save_s)
-        .Field("snapshot_load", st.snapshot_load_s)
-        .End();
-    // Binary persistence vs re-parsing the text, the cost every run paid
-    // before snapshot files existed.
-    j->Object("speedups")
-        .Field("snapshot_load_vs_tsv_parse_seq",
-               Ratio(st.tsv_parse_seq_s, st.snapshot_load_s))
-        .Field("snapshot_load_vs_tsv_parse_par",
-               Ratio(st.tsv_parse_par_s, st.snapshot_load_s))
-        .Field("tsv_parse_par_vs_seq",
-               Ratio(st.tsv_parse_seq_s, st.tsv_parse_par_s))
-        .End();
-    j->End();
-  }
-  j->End();
-  // The tracked headline: binary snapshot load vs (sequential) TSV parse
-  // on the largest dataset (target >= 5x).
-  j->Field("largest_dataset", largest->name)
-      .Field("snapshot_load_vs_tsv_parse_largest",
-             Ratio(largest->tsv_parse_seq_s, largest->snapshot_load_s));
-}
-
-// ---- wal_replay: journal append throughput + recovery time ---------------
-//
-// The durability path of graph/update_log.h, measured the way a resident
-// deployment pays it: a base snapshot plus a suffix of journaled epochs
-// (batch churn with a sprinkle of new nodes). `journal_append` times only
-// Append + Sync (the per-epoch durability tax on the commit path);
-// `recover` times RecoverState — snapshot load + replay — against the
-// `tsv_ingest` baseline of re-parsing the equivalent final graph from
-// text, the recovery story before the journal existed. The recovered
-// graph must match the never-crashed live graph by snapshot fingerprint.
-
-struct WalStat {
-  size_t epochs = 0;
-  size_t replayed_records = 0;
-  size_t final_nodes = 0;
-  size_t final_edges = 0;
-  uintmax_t wal_bytes = 0;
-  uintmax_t snapshot_bytes = 0;
-  uintmax_t tsv_bytes = 0;
-  double journal_append_s = 0.0;
-  double recover_s = 0.0;
-  double tsv_ingest_s = 0.0;
-};
-
-Status RunWalReplay(const Options& opts, WalStat* out) {
-  NGD_ASSIGN_OR_RETURN(fs::path dir, ScratchDir(opts));
-  const Scratch scratch(std::move(dir), "wal", opts);
-  const std::string snap_path = scratch.Path("ngds");
-  const std::string wal_path = scratch.Path("wal");
-  const std::string tsv_path = scratch.Path("tsv");
-
-  GraphGenConfig config =
-      SyntheticConfig(opts.nodes, opts.edges, opts.seed + 40);
-  SchemaPtr schema = Schema::Create();
-  std::unique_ptr<Graph> graph = GenerateGraph(config, schema);
-
-  // Epoch 0 base: the latest-good snapshot a RotateState left behind.
-  NGD_RETURN_IF_ERROR(
-      SaveSnapshotFile(GraphSnapshot(*graph, GraphView::kNew), snap_path));
-  NGD_ASSIGN_OR_RETURN(std::unique_ptr<UpdateLog> wal,
-                       UpdateLog::Create(wal_path, 0));
-
-  constexpr int kWalEpochs = 8;
-  out->epochs = kWalEpochs;
-  UpdateGenOptions up;
-  up.fraction = 0.05;
-  up.insert_fraction = 0.7;
-  up.new_node_prob = 0.05;
-  double append_total = 0.0;
-  for (int e = 1; e <= kWalEpochs; ++e) {
-    up.seed = opts.seed + 41 + static_cast<uint64_t>(e);
-    const NodeId first_new = static_cast<NodeId>(graph->NumNodes());
-    UpdateBatch batch = GenerateUpdateBatch(graph.get(), up);
-    NGD_RETURN_IF_ERROR(ApplyUpdateBatch(graph.get(), &batch));
-    const EpochRecord rec =
-        EpochRecord::Capture(*graph, batch, first_new, wal->last_epoch() + 1);
-    WallTimer t;
-    Status a = wal->Append(rec);
-    if (a.ok()) a = wal->Sync();
-    append_total += t.ElapsedSeconds();
-    NGD_RETURN_IF_ERROR(a);
-    graph->Commit();
-  }
-  out->journal_append_s = append_total;
-
-  RecoverResult recovered;
-  NGD_RETURN_IF_ERROR(
-      TimeChecked(opts.repetitions, &out->recover_s, [&]() -> Status {
-        NGD_ASSIGN_OR_RETURN(
-            recovered, RecoverState(snap_path, wal_path, Schema::Create()));
-        return Status::OK();
-      }));
-  out->replayed_records = recovered.replayed_records;
-  if (SnapshotFingerprint(GraphSnapshot(*graph, GraphView::kNew)) !=
-      SnapshotFingerprint(GraphSnapshot(*recovered.graph, GraphView::kNew))) {
-    return Status::Internal(
-        "recovered graph diverges from the live graph (snapshot "
-        "fingerprint mismatch)");
-  }
-
-  NGD_RETURN_IF_ERROR(SaveGraphFile(*graph, tsv_path));
-  std::unique_ptr<Graph> reparsed;
-  NGD_RETURN_IF_ERROR(
-      TimeTsvParse(opts, tsv_path, 1, &out->tsv_ingest_s, &reparsed));
-
-  std::error_code ec;
-  out->final_nodes = graph->NumNodes();
-  out->final_edges = graph->NumEdges(GraphView::kNew);
-  out->wal_bytes = fs::file_size(wal_path, ec);
-  out->snapshot_bytes = fs::file_size(snap_path, ec);
-  out->tsv_bytes = fs::file_size(tsv_path, ec);
-  return Status::OK();
-}
-
-void EmitWalReplay(const WalStat& wal, JsonWriter* j) {
-  j->Field("epochs", wal.epochs)
-      .Field("replayed_records", wal.replayed_records)
-      .Field("final_nodes", wal.final_nodes)
-      .Field("final_edges", wal.final_edges)
-      .Field("wal_bytes", wal.wal_bytes)
-      .Field("snapshot_bytes", wal.snapshot_bytes)
-      .Field("tsv_bytes", wal.tsv_bytes);
-  j->Object("timings_seconds")
-      // Append + Sync only: the per-epoch durability tax on the commit path.
-      .Field("journal_append_sync", wal.journal_append_s)
-      .Field("journal_append_sync_per_epoch",
-             wal.epochs > 0 ? wal.journal_append_s / wal.epochs : -1.0)
-      .Field("recover", wal.recover_s)
-      .Field("tsv_ingest", wal.tsv_ingest_s)
-      .End();
-  j->Field("append_mb_per_s", Ratio(static_cast<double>(wal.wal_bytes) / 1e6,
-                                    wal.journal_append_s));
-  // The tracked headline: snapshot + journal replay vs re-parsing the
-  // equivalent final graph from TSV — the recovery cost before the
-  // journal existed. Cross-checked by snapshot fingerprint against the
-  // never-crashed live graph.
-  j->Object("speedups")
-      .Field("recover_vs_tsv_ingest", Ratio(wal.tsv_ingest_s, wal.recover_s))
-      .End();
-}
-
-// ---- violation_heavy: the emission-dominated regime ----------------------
-//
-// The default workload (violation_rate high enough that the sweep emits
-// hundreds of thousands of violations) is exactly the regime the
-// arena-backed VioSet targets: matching is cheap, materializing
-// violations is the bill. The series re-reports the default-workload
-// batch and incremental measurements (taken above, with the engines
-// cross-checked violation-exact against the kNever oracle) as ratios vs
-// the live baseline. Tracked: snapshot Dect and delta-view IncDect must
-// not LOSE to live here (>= 1.0x) while the sparse-delta hub sweep keeps
-// its >= 2.7x / >= 3.7x wins.
-
-void EmitViolationHeavy(const BatchStats& batch, const IncStats& inc,
-                        JsonWriter* j) {
-  const FourWay& r = inc.run;
-  j->Field("nodes", batch.graph->NumNodes())
-      .Field("edges", batch.graph->NumEdges(GraphView::kNew))
-      .Field("violations", batch.violations)
-      .Field("delta_added", r.delta.added.size())
-      .Field("delta_removed", r.delta.removed.size());
-  j->Object("timings_seconds")
-      .Field("dect_live", batch.dect_live_s)
-      .Field("dect_snapshot", batch.dect_snapshot_s)
-      .Field("inc_dect_live", r.inc_live_s)
-      .Field("inc_dect_delta_view", r.inc_dv_s)
-      .End();
-  j->Object("speedups")
-      .Field("snapshot_vs_live",
-             Ratio(batch.dect_live_s, batch.dect_snapshot_s))
-      .Field("deltaview_vs_live", Ratio(r.inc_live_s, r.inc_dv_s))
-      .End();
-}
-
-// ---- violation_stream: bounded-memory result streaming -------------------
-//
-// A result set too large to keep resident. 30 hubs each observe `obs`
-// integer nodes (val 0..obs-1); one pairwise rule
-// `(x:hub)-[observes]->(y), (x)-[observes]->(z)` whose consequence
-// `y.val - z.val > 1e9` holds for no pair, so every ordered (y, z) pair
-// per hub is a violation — 30·obs² total, >= 1e6 at --ingest-scale 1
-// (homomorphism semantics: y == z counts). The series times Dect
-// materializing the whole VioSet against Dect spilling past an 8 MiB
-// budget, verifies the cursor stream byte-identical to the resident
-// Sorted() oracle, and reports both sides' honest resident footprint.
-
-struct StreamStats {
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t violations = 0;
-  size_t budget_bytes = 0;
-  size_t spill_segments = 0;
-  uint64_t spilled_records = 0;
-  size_t peak_resident_bytes = 0;          ///< spilled run's high-water mark
-  size_t materialized_resident_bytes = 0;  ///< what streaming avoids holding
-  bool peak_under_budget = false;
-  bool stream_identical = false;
-  double materialize_s = 0.0;
-  double stream_s = 0.0;
-};
-
-/// True iff the cursor over `spilled` replays `want` record for record.
-bool StreamMatches(const VioSet& spilled, const std::vector<Violation>& want) {
-  if (spilled.size() != want.size()) return false;
-  StatusOr<VioCursor> cur = spilled.OpenCursor();
-  if (!cur.ok()) return false;
-  size_t i = 0;
-  Violation v;
-  while (cur->Next(&v)) {
-    if (i >= want.size() || !(v == want[i])) return false;
-    ++i;
-  }
-  return cur->status().ok() && i == want.size();
-}
-
-Status RunViolationStream(const Options& opts, StreamStats* out) {
-  constexpr int kStreamHubs = 30;
-  // obs scales with sqrt(--ingest-scale) so the obs² violation count
-  // scales ~linearly with it (the ctest smoke shrinks the scale).
-  const int obs =
-      std::max(16, static_cast<int>(200.0 * std::sqrt(opts.ingest_scale)));
-  SchemaPtr schema = Schema::Create();
-  Graph g(schema);
-  const LabelId hub_label = schema->InternLabel("hub");
-  const LabelId obs_label = schema->InternLabel("reading");
-  const LabelId observes = schema->InternLabel("observes");
-  const AttrId val = schema->InternAttr("val");
-  for (int h = 0; h < kStreamHubs; ++h) {
-    const NodeId hv = g.AddNode(hub_label);
-    for (int i = 0; i < obs; ++i) {
-      const NodeId ov = g.AddNode(obs_label);
-      g.SetAttr(ov, val, Value(int64_t{i}));
-      (void)g.AddEdge(hv, ov, observes);  // fresh nodes: cannot fail
-    }
-  }
-  NgdSet sigma;
-  {
-    Pattern p;
-    const int x = p.AddNode("x", hub_label);
-    const int y = p.AddNode("y", obs_label);
-    const int z = p.AddNode("z", obs_label);
-    if (!p.AddEdge(x, y, observes).ok()) std::abort();
-    if (!p.AddEdge(x, z, observes).ok()) std::abort();
-    std::vector<Literal> Y{Literal(
-        Expr::Sub(Expr::Var(y, val), Expr::Var(z, val)), CmpOp::kGt,
-        Expr::IntConst(int64_t{1000000000}))};
-    sigma.Add(Ngd("pairwise_delta", std::move(p), {}, std::move(Y)));
-  }
-  out->nodes = g.NumNodes();
-  out->edges = g.NumEdges(GraphView::kNew);
-
-  const DectOptions d = DectWith(SnapshotMode::kAlways);
-  VioSet resident;
-  out->materialize_s =
-      TimeMin(opts.repetitions, [&]() { resident = Dect(g, sigma, d); });
-  out->violations = resident.size();
-  out->materialized_resident_bytes = resident.resident_bytes();
-
-  // The guard removes the segments on every exit path, a failed spill
-  // included. Repetitions overwrite the same segment files; ~VioSet never
-  // unlinks them.
-  NGD_ASSIGN_OR_RETURN(fs::path dir, ScratchDir(opts));
-  const Scratch scratch(std::move(dir), "viostream", opts);
-  VioSpillOptions sp;
-  sp.budget_bytes = size_t{8} << 20;
-  sp.path_prefix = scratch.Path("spill");
-  out->budget_bytes = sp.budget_bytes;
-  DectOptions ds = d;
-  ds.spill = &sp;
-  VioSet spilled;
-  // spill_status() joins the last background flush, so each repetition
-  // is timed until its final segment is on disk.
-  out->stream_s = TimeMin(opts.repetitions, [&]() {
-    spilled = Dect(g, sigma, ds);
-    (void)spilled.spill_status();
-  });
-  NGD_RETURN_IF_ERROR(spilled.spill_status());
-  out->spill_segments = spilled.num_spill_segments();
-  out->spilled_records = spilled.spilled_records();
-  out->peak_resident_bytes = spilled.peak_resident_bytes();
-  out->peak_under_budget = out->peak_resident_bytes < sp.budget_bytes;
-
-  // Byte-identity: the cursor's merged stream must replay the resident
-  // oracle's Sorted() order record for record.
-  out->stream_identical = StreamMatches(spilled, resident.Sorted());
-  if (!out->stream_identical) {
-    return Status::Internal(
-        "cursor diverged from the resident Sorted() oracle");
-  }
-  return Status::OK();
-}
-
-// The >= 10^6-violation pairwise workload run twice: materializing the
-// whole VioSet vs spilling past an 8 MiB budget and replaying through the
-// cursor. stream_identical is the byte-identity cross-check against the
-// resident Sorted() oracle; peak_under_budget is the acceptance bound on
-// the spilled run's resident high-water mark.
-void EmitViolationStream(const StreamStats& st, JsonWriter* j) {
-  j->Object("workload")
-      .Field("nodes", st.nodes)
-      .Field("edges", st.edges)
-      .Field("violations", st.violations)
-      .End();
-  j->Field("budget_bytes", st.budget_bytes)
-      .Field("spill_segments", st.spill_segments)
-      .Field("spilled_records", st.spilled_records)
-      .Field("peak_resident_bytes", st.peak_resident_bytes)
-      .Field("materialized_resident_bytes", st.materialized_resident_bytes)
-      .Field("peak_under_budget", st.peak_under_budget)
-      .Field("stream_identical", st.stream_identical);
-  j->Object("timings_seconds")
-      .Field("dect_materialize", st.materialize_s)
-      .Field("dect_stream", st.stream_s)
-      .End();
-  // How much of the materializing run's wall clock streaming costs (or
-  // saves): > 1.0 means spilling beat holding everything resident. The
-  // last key on purpose — the smoke test's pass regex anchors on it, so a
-  // run only passes when the whole JSON was emitted.
-  j->Field("stream_vs_materialize", Ratio(st.materialize_s, st.stream_s));
 }
 
 // ---- fig4_panels: the paper's Fig. 4(a)-(n) ------------------------------
@@ -2363,49 +1340,21 @@ void EmitEngineClaims(const ClaimStats& st, JsonWriter* j) {
 struct Bench {
   explicit Bench(const Options& o) : opts(o) {}
   const Options& opts;
-  BatchStats batch;
-  SigmaStats sigma;
-  IncStats inc;
   std::vector<SweepPoint> sweep;
-  ScaleSeries scaling;
-  std::vector<IngestStat> ingest;
-  WalStat wal;
   std::vector<Panel> panels;
   std::vector<Exp5Stat> exp5;
   ClaimStats claims;
-  StreamStats stream;
 };
 
 struct Series {
-  const char* name;  ///< the JSON key; "batch" emits the top-level keys
-  Status (*run)(Bench*);  ///< nullptr: re-reports other series' results
+  const char* name;  ///< the JSON key
+  Status (*run)(Bench*);
   void (*emit)(const Bench&, JsonWriter*);
 };
 
-// Run and emitted in this order. violation_stream is last on purpose:
-// the smoke test's pass regex anchors on its final key.
 const Series kSeries[] = {
-    {"batch", [](Bench* b) { return RunBatch(b->opts, &b->batch); },
-     [](const Bench& b, JsonWriter* j) { EmitBatch(b.batch, b.opts, j); }},
-    {"sigma_minimize",
-     [](Bench* b) { return RunSigmaMinimize(b->opts, b->batch, &b->sigma); },
-     [](const Bench& b, JsonWriter* j) { EmitSigmaMinimize(b.sigma, j); }},
-    {"incremental",
-     [](Bench* b) { return RunIncremental(b->opts, &b->batch, &b->inc); },
-     [](const Bench& b, JsonWriter* j) { EmitIncremental(b.inc, b.opts, j); }},
     {"fig4ad_sweep", [](Bench* b) { return RunHubSweep(b->opts, &b->sweep); },
      [](const Bench& b, JsonWriter* j) { EmitHubSweep(b.sweep, b.opts, j); }},
-    {"fig4_il",
-     [](Bench* b) { return RunProcessorScaling(b->opts, &b->scaling); },
-     [](const Bench& b, JsonWriter* j) { EmitProcessorScaling(b.scaling, j); }},
-    {"ingest", [](Bench* b) { return RunIngest(b->opts, &b->ingest); },
-     [](const Bench& b, JsonWriter* j) { EmitIngest(b.ingest, b.opts, j); }},
-    {"wal_replay", [](Bench* b) { return RunWalReplay(b->opts, &b->wal); },
-     [](const Bench& b, JsonWriter* j) { EmitWalReplay(b.wal, j); }},
-    {"violation_heavy", nullptr,
-     [](const Bench& b, JsonWriter* j) {
-       EmitViolationHeavy(b.batch, b.inc, j);
-     }},
     {"fig4_panels", [](Bench* b) { return RunFig4Panels(b->opts, &b->panels); },
      [](const Bench& b, JsonWriter* j) {
        EmitFig4Panels(b.panels, b.opts, j);
@@ -2415,15 +1364,18 @@ const Series kSeries[] = {
     {"engine_claims",
      [](Bench* b) { return RunEngineClaims(b->opts, &b->claims); },
      [](const Bench& b, JsonWriter* j) { EmitEngineClaims(b.claims, j); }},
-    {"violation_stream",
-     [](Bench* b) { return RunViolationStream(b->opts, &b->stream); },
-     [](const Bench& b, JsonWriter* j) { EmitViolationStream(b.stream, j); }},
 };
+
+/// The process's peak resident set so far, in MB (Linux reports KB).
+double PeakRssMb() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return -1.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 int Run(const Options& opts) {
   Bench bench(opts);
   for (const Series& s : kSeries) {
-    if (s.run == nullptr) continue;
     const Status status = s.run(&bench);
     if (!status.ok()) {
       std::cerr << "ngdbench: " << s.name << ": " << status.ToString() << "\n";
@@ -2431,12 +1383,8 @@ int Run(const Options& opts) {
     }
   }
   JsonWriter j;
-  j.Field("bench", "detect");
+  j.Field("bench", "detect").Field("peak_rss_mb", PeakRssMb());
   for (const Series& s : kSeries) {
-    if (std::string_view(s.name) == "batch") {
-      s.emit(bench, &j);
-      continue;
-    }
     j.Object(s.name);
     s.emit(bench, &j);
     j.End();
