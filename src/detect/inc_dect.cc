@@ -61,23 +61,22 @@ std::vector<PivotTask> EnumeratePivotTasks(const Graph& g,
   return tasks;
 }
 
-namespace {
-
-/// The one copy of the (update, pattern-edge) tie-break that defines
-/// exactly-once emission; `maybe_update(src, dst, label)` lets a backend
-/// skip edges it can prove are not update records before the hash lookup.
-template <typename MaybeUpdate>
-bool IsCanonicalPivotImpl(const Pattern& pattern, const Binding& binding,
-                          const UpdateIndex& index, UpdateKind kind,
-                          int update_index, int pattern_edge,
-                          const MaybeUpdate& maybe_update) {
+bool IsCanonicalPivot(const DeltaView* dv, const Pattern& pattern,
+                      const Binding& binding, const UpdateIndex& index,
+                      UpdateKind kind, int update_index, int pattern_edge) {
+  // DeltaView and UpdateIndex apply the same effectiveness predicate, so
+  // the span check is exactly IndexOf(...).has_value() — at the cost of
+  // one bitmap byte for the base edges that dominate.
+  const bool insert_side = kind == UpdateKind::kInsert;
   int best_update = update_index;
   int best_edge = pattern_edge;
   for (size_t p = 0; p < pattern.NumEdges(); ++p) {
     const PatternEdge& pe = pattern.edge(static_cast<int>(p));
     const NodeId src = binding[pe.src];
     const NodeId dst = binding[pe.dst];
-    if (!maybe_update(src, dst, pe.label)) continue;
+    if (dv != nullptr && !dv->IsDeltaEdge(insert_side, src, dst, pe.label)) {
+      continue;
+    }
     std::optional<int> idx =
         index.IndexOf(kind, EdgeKey{src, dst, pe.label});
     if (!idx.has_value()) continue;
@@ -88,31 +87,6 @@ bool IsCanonicalPivotImpl(const Pattern& pattern, const Binding& binding,
     }
   }
   return best_update == update_index && best_edge == pattern_edge;
-}
-
-}  // namespace
-
-bool IsCanonicalPivot(const Graph& g, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge) {
-  (void)g;
-  return IsCanonicalPivotImpl(pattern, binding, index, kind, update_index,
-                              pattern_edge,
-                              [](NodeId, NodeId, LabelId) { return true; });
-}
-
-bool IsCanonicalPivot(const DeltaView& dv, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge) {
-  // DeltaView and UpdateIndex apply the same effectiveness predicate, so
-  // the span check is exactly IndexOf(...).has_value() — at the cost of
-  // one bitmap byte for the base edges that dominate.
-  const bool insert_side = kind == UpdateKind::kInsert;
-  return IsCanonicalPivotImpl(
-      pattern, binding, index, kind, update_index, pattern_edge,
-      [&dv, insert_side](NodeId src, NodeId dst, LabelId label) {
-        return dv.IsDeltaEdge(insert_side, src, dst, label);
-      });
 }
 
 Status ValidateForIncremental(const NgdSet& sigma) {
@@ -283,6 +257,7 @@ DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
     }
     dv.emplace(*base, g, batch);
   }
+  const DeltaView* delta_view = dv.has_value() ? &*dv : nullptr;
 
   // Plan cache: one expansion order per (NGD, pattern edge) seed pair.
   std::unordered_map<int64_t, MatchPlan> plans;
@@ -326,20 +301,16 @@ DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
     const EffectiveUpdate& u = index.updates()[task.update_index];
     const PatternEdge& pe = ngd.pattern().edge(task.pattern_edge);
 
-    PivotEdgeFilter live_filter(&index, u.kind, task.update_index);
-    DeltaViewPivotEdgeFilter dv_filter(dv.has_value() ? &*dv : nullptr,
-                                       &index, u.kind, task.update_index);
+    PivotEdgeFilter filter(delta_view, &index, u.kind, task.update_index);
     SearchConfig cfg;
     cfg.graph = &g;
-    cfg.delta_view = dv.has_value() ? &*dv : nullptr;
+    cfg.delta_view = delta_view;
     cfg.pattern = &ngd.pattern();
     cfg.x = &ngd.X();
     cfg.y = &ngd.Y();
     cfg.view =
         u.kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
-    cfg.edge_filter =
-        dv.has_value() ? static_cast<const EdgeFilter*>(&dv_filter)
-                       : static_cast<const EdgeFilter*>(&live_filter);
+    cfg.edge_filter = &filter;
     cfg.node_scope =
         area.has_value() ? area->ScopeOf(task.ngd_index) : nullptr;
     cfg.find_violations = true;
@@ -353,17 +324,9 @@ DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
         u.kind == UpdateKind::kInsert ? delta.added : delta.removed;
     RunSeededSearch(cfg, plan_for(task.ngd_index, task.pattern_edge),
                     &binding, [&](const Binding& match) {
-                      const bool canonical =
-                          dv.has_value()
-                              ? IsCanonicalPivot(*dv, ngd.pattern(), match,
-                                                 index, u.kind,
-                                                 task.update_index,
-                                                 task.pattern_edge)
-                              : IsCanonicalPivot(g, ngd.pattern(), match,
-                                                 index, u.kind,
-                                                 task.update_index,
-                                                 task.pattern_edge);
-                      if (canonical) {
+                      if (IsCanonicalPivot(delta_view, ngd.pattern(), match,
+                                           index, u.kind, task.update_index,
+                                           task.pattern_edge)) {
                         // Minimal-pivot canonicality already guarantees
                         // exactly-once emission per match per update
                         // kind; the checked insert's hash probe would

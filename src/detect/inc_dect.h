@@ -63,39 +63,22 @@ class UpdateIndex {
 };
 
 /// Rejects update edges with pivot order below the current pivot, so each
-/// match is reached from its minimal update edge only.
+/// match is reached from its minimal update edge only. Ranking only ever
+/// concerns *update* edges: with a DeltaView backend (`dv` set) anything
+/// outside its delta spans is a base edge and is admitted with one CSR
+/// span check — no hash probe — and only genuine delta entries (a
+/// |ΔG|-sized minority of everything a search touches) pay the
+/// UpdateIndex lookup. `dv == nullptr` means the live graph.
 class PivotEdgeFilter : public EdgeFilter {
  public:
-  PivotEdgeFilter(const UpdateIndex* index, UpdateKind kind, int pivot_index)
-      : index_(index), kind_(kind), pivot_index_(pivot_index) {}
-
-  bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
-             LabelId label) const override {
-    auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
-    return !i.has_value() || *i >= pivot_index_;
-  }
-
- private:
-  const UpdateIndex* index_;
-  UpdateKind kind_;
-  int pivot_index_;
-};
-
-/// PivotEdgeFilter for the DeltaView backend. Duplicate suppression only
-/// has to rank *update* edges, and the DeltaView knows structurally which
-/// edges those are: anything outside its delta spans is a base edge and
-/// is admitted with one CSR span check — no hash probe. Only genuine
-/// delta entries (a |ΔG|-sized minority of everything a search touches)
-/// fall through to the UpdateIndex lookup.
-class DeltaViewPivotEdgeFilter : public EdgeFilter {
- public:
-  DeltaViewPivotEdgeFilter(const DeltaView* dv, const UpdateIndex* index,
-                           UpdateKind kind, int pivot_index)
+  PivotEdgeFilter(const DeltaView* dv, const UpdateIndex* index,
+                  UpdateKind kind, int pivot_index)
       : dv_(dv), index_(index), kind_(kind), pivot_index_(pivot_index) {}
 
   bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
              LabelId label) const override {
-    if (!dv_->IsDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
+    if (dv_ != nullptr &&
+        !dv_->IsDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
       return true;
     }
     auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
@@ -125,18 +108,14 @@ std::vector<PivotTask> EnumeratePivotTasks(const Graph& g,
                                            const UpdateIndex& index);
 
 /// True iff (update_index, pattern_edge) is the minimal update incidence
-/// of the full match `binding` — the emission-side duplicate check.
-bool IsCanonicalPivot(const Graph& g, const Pattern& pattern,
-                      const Binding& binding, const UpdateIndex& index,
-                      UpdateKind kind, int update_index, int pattern_edge);
-
-/// DeltaView-backed canonicality: ranking only ever concerns *update*
-/// edges, so pattern edges whose bound graph edge is not a delta entry
-/// are skipped with one CSR span check; only the (typically one) real
-/// update edge of the match pays an UpdateIndex hash lookup. This is the
-/// emission hot path — every violating match of every pivot runs it —
-/// and the structural skip is a key part of the DeltaView speedup.
-bool IsCanonicalPivot(const DeltaView& dv, const Pattern& pattern,
+/// of the full match `binding` — the emission-side duplicate check. With
+/// a DeltaView backend (`dv` set) pattern edges whose bound graph edge is
+/// not a delta entry are skipped with one CSR span check; only the
+/// (typically one) real update edge of the match pays an UpdateIndex hash
+/// lookup. This is the emission hot path — every violating match of every
+/// pivot runs it — and the structural skip is a key part of the DeltaView
+/// speedup. `dv == nullptr` means the live graph.
+bool IsCanonicalPivot(const DeltaView* dv, const Pattern& pattern,
                       const Binding& binding, const UpdateIndex& index,
                       UpdateKind kind, int update_index, int pattern_edge);
 

@@ -3,8 +3,9 @@
 // DeltaView (an UpdateBatch overlaid on a base snapshot).
 //
 // The homomorphism engine (match/) is written once against this facade.
-// Batch detection (Dect, FindAnyViolation, PDect) builds a GraphSnapshot
-// per call and matches against its label-partitioned adjacency;
+// Batch detection matches CSR label-partitioned adjacency: Dect and
+// FindAnyViolation a whole-graph GraphSnapshot, PDect each fragment's
+// induced CSR (parallel/fragment.h);
 // incremental detection (IncDect, PIncDect) either matches the live
 // overlay graph directly — whose adjacency carries the kInserted/kDeleted
 // states — or a DeltaView, which serves the same two views from CSR
@@ -142,8 +143,8 @@ class GraphAccessor {
   /// the index domain of ForEachNeighborSlice. Live graph: the raw
   /// adjacency vector (entries of other labels/states are skipped at
   /// iteration). Snapshot: the exact label range. Delta view: base label
-  /// range plus inserted entries (see delta_view.h). PIncDect partitions
-  /// this domain for work-unit splitting.
+  /// range plus inserted entries (see delta_view.h). The parallel engines
+  /// partition this domain for work-unit splitting.
   size_t NeighborSeqLen(NodeId v, bool out, LabelId edge_label) const {
     if (snap_ != nullptr) {
       return (out ? snap_->OutNeighbors(v, edge_label)

@@ -85,7 +85,7 @@ class DeltaView {
   /// bitmap rejects the untouched nodes that dominate — which lets pivot
   /// filters and canonicality checks treat base edges as non-updates
   /// without probing the update hash index (duplicate suppression only
-  /// ever has to rank *update* edges; see DeltaViewPivotEdgeFilter).
+  /// ever has to rank *update* edges; see PivotEdgeFilter).
   bool IsDeltaEdge(bool insert_side, NodeId src, NodeId dst,
                    LabelId label) const {
     if (!(touched_[src] & (insert_side ? kTouchedOutIns : kTouchedOutDel))) {

@@ -12,6 +12,7 @@
 
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/hash.h"
 
 namespace ngd {
 
@@ -62,16 +63,6 @@ struct SectionEntry {
   uint64_t checksum;  // FNV-1a 64 over the payload bytes
 };
 static_assert(sizeof(SectionEntry) == 32, "SectionEntry must be packed");
-
-uint64_t Fnv1a(const void* data, size_t n,
-               uint64_t h = 14695981039346656037ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 bool HostIsLittleEndian() {
   const uint32_t probe = 1;
@@ -244,7 +235,7 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
     table[s].count = specs[s].count;
     table[s].offset = offset;
     table[s].checksum =
-        Fnv1a(specs[s].data, specs[s].elem_bytes * specs[s].count);
+        Fnv1a64(specs[s].data, specs[s].elem_bytes * specs[s].count);
     offset += specs[s].elem_bytes * specs[s].count;
   }
 
@@ -255,7 +246,7 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
   header.view = static_cast<uint32_t>(snap.view_);
   header.section_count = kSectionCount;
   header.file_bytes = offset;
-  header.table_checksum = Fnv1a(table, sizeof(table));
+  header.table_checksum = Fnv1a64(table, sizeof(table));
 
   std::string out(offset, '\0');
   std::memcpy(&out[0], &header, sizeof(header));
@@ -311,7 +302,7 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     return Status::Corruption("truncated snapshot: section table cut off");
   }
   std::memcpy(table, bytes.data() + sizeof(FileHeader), sizeof(table));
-  if (Fnv1a(table, sizeof(table)) != header.table_checksum) {
+  if (Fnv1a64(table, sizeof(table)) != header.table_checksum) {
     return Status::Corruption("snapshot section table checksum mismatch");
   }
 
@@ -333,7 +324,7 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
                                 " extends past end of file");
     }
     const uint64_t len = e.elem_bytes * e.count;
-    if (Fnv1a(bytes.data() + e.offset, len) != e.checksum) {
+    if (Fnv1a64(bytes.data() + e.offset, len) != e.checksum) {
       return Status::Corruption("checksum mismatch in snapshot section " +
                                 std::to_string(e.id));
     }
@@ -620,32 +611,32 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
 
 uint64_t SnapshotCodec::Fingerprint(const GraphSnapshot& snap) {
   const size_t n = snap.NumNodes();
-  uint64_t h = Fnv1a(&n, sizeof(n));
+  uint64_t h = Fnv1a64(&n, sizeof(n));
   if (n > 0) {
-    h = Fnv1a(snap.node_labels_.data(), n * sizeof(LabelId), h);
+    h = Fnv1a64(snap.node_labels_.data(), n * sizeof(LabelId), h);
   }
   for (NodeId v = 0; v < n; ++v) {
     for (uint32_t i = snap.attr_off_[v]; i < snap.attr_off_[v + 1]; ++i) {
       const auto& [attr, val] = snap.attrs_[i];
-      h = Fnv1a(&attr, sizeof(attr), h);
+      h = Fnv1a64(&attr, sizeof(attr), h);
       if (val.is_int()) {
         const int64_t x = val.AsInt();
-        h = Fnv1a("i", 1, h);
-        h = Fnv1a(&x, sizeof(x), h);
+        h = Fnv1a64("i", 1, h);
+        h = Fnv1a64(&x, sizeof(x), h);
       } else {
-        h = Fnv1a("s", 1, h);
-        h = Fnv1a(val.AsString().data(), val.AsString().size(), h);
-        h = Fnv1a("\0", 1, h);
+        h = Fnv1a64("s", 1, h);
+        h = Fnv1a64(val.AsString().data(), val.AsString().size(), h);
+        h = Fnv1a64("\0", 1, h);
       }
     }
     for (uint32_t gi = snap.out_.group_off[v]; gi < snap.out_.group_off[v + 1];
          ++gi) {
       const auto& group = snap.out_.groups[gi];
-      h = Fnv1a(&group.label, sizeof(group.label), h);
+      h = Fnv1a64(&group.label, sizeof(group.label), h);
       const uint32_t count = group.end - group.begin;
-      h = Fnv1a(&count, sizeof(count), h);
-      h = Fnv1a(snap.out_.nbr.data() + group.begin, count * sizeof(NodeId),
-                h);
+      h = Fnv1a64(&count, sizeof(count), h);
+      h = Fnv1a64(snap.out_.nbr.data() + group.begin, count * sizeof(NodeId),
+                  h);
     }
   }
   return h;

@@ -8,12 +8,13 @@ namespace ngd {
 
 namespace {
 
-/// Literal bookkeeping carried down the recursion (by value: cheap, and
-/// backtracking restores it for free).
-struct LiteralState {
-  bool y_false = false;     ///< some bound Y literal is false
-  size_t y_ready = 0;       ///< number of Y literals bound so far
-};
+/// Literal evaluation against whichever backend the accessor wraps.
+Truth EvalLiteral(const GraphAccessor& g, const Literal& lit,
+                  const Binding& binding) {
+  if (g.is_snapshot()) return lit.Evaluate(*g.snapshot(), binding);
+  if (g.is_delta_view()) return lit.Evaluate(*g.delta_view(), binding);
+  return lit.Evaluate(*g.live_graph(), binding);
+}
 
 enum class StepOutcome : uint8_t { kContinue, kPrune, kStop };
 
@@ -41,9 +42,13 @@ StepOutcome EvalReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
   return StepOutcome::kContinue;
 }
 
+/// Walks the plan from step `step_idx`. `entry` is set only for the
+/// first step of a resumed unit: it fixes the anchor option and may
+/// restrict the scan to a slice.
 bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
             const MatchPlan& plan, size_t step_idx, Binding* binding,
-            LiteralState ls, const MatchCallback& callback) {
+            LiteralState ls, const MatchCallback& callback,
+            const ResumePoint* entry = nullptr) {
   if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
   if (step_idx == plan.steps.size()) {
     // Full match. In violation mode the literal pruning above guarantees
@@ -60,9 +65,12 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   // Candidate generation: scan the cheapest anchor among the step's
   // options, measured by the adjacency range the scan will touch (exact
   // label-range length on a snapshot, total adjacency on the live
-  // graph). The edges not chosen are verified as closure edges below.
+  // graph), unless a resumed unit fixes it. The edges not chosen are
+  // verified as closure edges below.
   size_t chosen_idx = 0;
-  if (step.anchor_options.size() > 1) {
+  if (entry != nullptr && entry->anchor_option >= 0) {
+    chosen_idx = static_cast<size_t>(entry->anchor_option);
+  } else if (step.anchor_options.size() > 1) {
     size_t best_cost = SIZE_MAX;
     for (size_t k = 0; k < step.anchor_options.size(); ++k) {
       const AnchorOption& o = step.anchor_options[k];
@@ -79,6 +87,31 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   const LabelId anchor_label = pattern.edge(chosen.edge).label;
   const NodeId anchor = (*binding)[chosen.anchor_node];
   const LabelId want_label = pattern.node(step.node).label;
+  const bool sliced = entry != nullptr && entry->sliced();
+  // The snapshot fast path below scans this CSR label range; fetch it
+  // once, before the hand-off hook needs its length.
+  const bool fast = g.is_snapshot() && cfg.edge_filter == nullptr &&
+                    cfg.node_scope == nullptr && want_label != kWildcardLabel;
+  GraphSnapshot::IdRange range;
+  if (fast) {
+    range = chosen.anchor_out
+                ? g.snapshot()->OutNeighbors(anchor, anchor_label)
+                : g.snapshot()->InNeighbors(anchor, anchor_label);
+  }
+  if (cfg.handoff != nullptr) {
+    ResumePoint at = sliced ? *entry : ResumePoint{};
+    at.step = static_cast<int32_t>(step_idx);
+    at.anchor_option = static_cast<int32_t>(chosen_idx);
+    at.literals = ls;
+    const size_t seq_len =
+        fast ? range.size()
+             : g.NeighborSeqLen(anchor, chosen.anchor_out, anchor_label);
+    const bool taken = cfg.handoff->Take(at, anchor, seq_len, *binding);
+    assert(!(taken && sliced) && "a slice cannot be handed off again");
+    if (taken) return true;
+  }
+  const size_t begin = sliced ? static_cast<size_t>(entry->slice_begin) : 0;
+  const size_t end = sliced ? static_cast<size_t>(entry->slice_end) : SIZE_MAX;
 
   // Everything past the label test for one label-matching candidate:
   // scope/filter admission, closure-edge verification, literal pruning,
@@ -139,23 +172,19 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   // from a dense stack buffer. Scope/filter configs and wildcard labels
   // fall through to the generic scan, which needs per-candidate calls
   // anyway.
-  if (g.is_snapshot() && cfg.edge_filter == nullptr &&
-      cfg.node_scope == nullptr && want_label != kWildcardLabel) {
-    const GraphSnapshot& snap = *g.snapshot();
-    const GraphSnapshot::IdRange r =
-        chosen.anchor_out ? snap.OutNeighbors(anchor, anchor_label)
-                          : snap.InNeighbors(anchor, anchor_label);
-    const LabelId* labels = snap.node_labels_data();
+  if (fast) {
+    const LabelId* labels = g.snapshot()->node_labels_data();
+    const size_t hi = std::min(end, range.size());
     constexpr size_t kBlock = 256;
     NodeId cands[kBlock];
-    for (size_t base = 0; base < r.size(); base += kBlock) {
+    for (size_t base = begin; base < hi; base += kBlock) {
       // Bounded response even on a hub anchor's long adjacency scan:
       // one cancellation poll per block.
       if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
-      const size_t n = std::min(kBlock, r.size() - base);
+      const size_t n = std::min(kBlock, hi - base);
       size_t m = 0;
       for (size_t i = 0; i < n; ++i) {
-        const NodeId w = r.ptr[base + i];
+        const NodeId w = range.ptr[base + i];
         cands[m] = w;
         m += static_cast<size_t>(labels[w] == want_label);
       }
@@ -166,23 +195,33 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
     return true;
   }
 
-  return g.ForEachNeighbor(
-      anchor, chosen.anchor_out, anchor_label, [&](NodeId cand) {
-        // Bounded response even on a hub anchor's long adjacency scan.
-        if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
-        if (!g.NodeMatchesLabel(cand, want_label)) return true;
-        return visit(cand);
-      });
+  auto scan = [&](NodeId cand) {
+    // Bounded response even on a hub anchor's long adjacency scan.
+    if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
+    if (!g.NodeMatchesLabel(cand, want_label)) return true;
+    return visit(cand);
+  };
+  if (sliced) {
+    return g.ForEachNeighborSlice(anchor, chosen.anchor_out, anchor_label,
+                                  begin, end, scan);
+  }
+  return g.ForEachNeighbor(anchor, chosen.anchor_out, anchor_label, scan);
 }
 
+/// `check_labels` is false for batch seeds drawn from the start label's
+/// candidate list, whose label is right by construction.
 bool SeededSearchImpl(const SearchConfig& config, const GraphAccessor& g,
                       const MatchPlan& plan, Binding* binding,
-                      const MatchCallback& callback) {
+                      const MatchCallback& callback,
+                      bool check_labels = true) {
   // Seeds must satisfy labels and scope.
   for (int s : plan.seeds) {
     const NodeId v = (*binding)[s];
     assert(v != kInvalidNode);
-    if (!g.NodeMatchesLabel(v, config.pattern->node(s).label)) return true;
+    if (check_labels &&
+        !g.NodeMatchesLabel(v, config.pattern->node(s).label)) {
+      return true;
+    }
     if (config.node_scope != nullptr && !config.node_scope->Contains(v)) {
       return true;
     }
@@ -218,21 +257,37 @@ bool RunSeededSearch(const SearchConfig& config, const MatchPlan& plan,
                           callback);
 }
 
+bool ResumeSearch(const SearchConfig& config, const MatchPlan& plan,
+                  const ResumePoint& at, Binding* binding,
+                  const MatchCallback& callback) {
+  assert(config.pattern != nullptr);
+  return Expand(config, config.MakeAccessor(), plan,
+                static_cast<size_t>(at.step), binding, at.literals, callback,
+                &at);
+}
+
 bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
                             const MatchPlan& plan,
-                            const MatchCallback& callback) {
+                            const MatchCallback& callback,
+                            const GraphSnapshot::IdRange* candidates) {
   assert((config.graph != nullptr || config.snapshot != nullptr ||
           config.delta_view != nullptr) &&
          config.pattern != nullptr);
   assert(plan.seeds.size() == 1 && plan.seeds[0] == start);
   const GraphAccessor g = config.MakeAccessor();
   Binding binding(config.pattern->NumNodes(), kInvalidNode);
-  return g.ForEachCandidate(config.pattern->node(start).label, [&](NodeId v) {
+  auto seed = [&](NodeId v) {
     binding[start] = v;
-    const bool keep_going = SeededSearchImpl(config, g, plan, &binding, callback);
-    binding[start] = kInvalidNode;
-    return keep_going;
-  });
+    return SeededSearchImpl(config, g, plan, &binding, callback,
+                            /*check_labels=*/false);
+  };
+  if (candidates == nullptr) {
+    return g.ForEachCandidate(config.pattern->node(start).label, seed);
+  }
+  for (NodeId v : *candidates) {
+    if (!seed(v)) return false;
+  }
+  return true;
 }
 
 bool RunBatchSearch(const SearchConfig& config,

@@ -1,12 +1,18 @@
 // The Matchn / SubMatchn homomorphism search engine (paper §6.2).
 //
-// A single recursive engine serves all four detection algorithms:
+// A single recursive engine is the only code that walks a MatchPlan; it
+// serves all four detection algorithms:
 //   - Dect/PDect seed it with one candidate of the most selective pattern
 //     node and let it expand;
 //   - IncDect/PIncDect seed it with an update pivot h(u,u') = (v,v') and
 //     drive the expansion from the update (update-driven evaluation), with
 //     an EdgeFilter enforcing the ΔVio+/ΔVio- view discipline and the
-//     minimal-pivot duplicate suppression.
+//     minimal-pivot duplicate suppression;
+//   - the parallel engines (PDect, PIncDect) additionally set a
+//     StepHandoff, which may take a step out of the walk — forward it to
+//     another fragment, split its anchor scan into slices, or spawn it as
+//     a child work unit — and later resume each handed-off unit with
+//     ResumeSearch.
 //
 // The engine prunes with literals (paper §6.2 step (3)) soundly:
 //   - any fully-bound X literal evaluating false prunes the branch (no
@@ -19,6 +25,8 @@
 #ifndef NGD_MATCH_HOMOMORPHISM_H_
 #define NGD_MATCH_HOMOMORPHISM_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -46,6 +54,48 @@ class EdgeFilter {
 
 /// Return false to abort the entire search (early-exit validation).
 using MatchCallback = std::function<bool(const Binding&)>;
+
+/// Literal bookkeeping of a bound prefix: carried down the recursion by
+/// value (backtracking restores it for free) and stored in handed-off
+/// work units.
+struct LiteralState {
+  bool y_false = false;  ///< some bound Y literal is false
+  uint32_t y_ready = 0;  ///< number of Y literals bound so far
+};
+
+/// Where a handed-off work unit re-enters the plan walk: the step to scan
+/// next, the anchor option it was handed off on, an optional slice of
+/// that anchor's neighbor sequence, and the prefix's literal state.
+struct ResumePoint {
+  int32_t step = 0;
+  /// Index into plan.steps[step].anchor_options; -1 lets the walker pick
+  /// the cheapest anchor. A unit handed off on an anchor must scan that
+  /// anchor when it resumes: another fragment's CSR may rank the anchors
+  /// differently, and a forwarded unit that re-chose could bounce.
+  int32_t anchor_option = -1;
+  /// [slice_begin, slice_end) of the anchor's neighbor sequence (the
+  /// GraphAccessor::NeighborSeqLen domain); slice_begin < 0 scans it all.
+  int32_t slice_begin = -1;
+  int32_t slice_end = -1;
+  LiteralState literals;
+
+  bool sliced() const { return slice_begin >= 0; }
+};
+
+/// Step hand-off hook, set only by the parallel engines. Before scanning
+/// a step the walker offers it `at` (the step, the chosen anchor option,
+/// the prefix's literal state), the anchor node, that anchor's neighbor
+/// sequence length and the bound prefix. Returning true means the engine
+/// took the step — forwarded it, split it into slice units or spawned it
+/// as a child unit, each resuming from `at` — and the walker skips the
+/// scan. A sliced entry step is offered too, so an engine can meter the
+/// scan, but it was already handed off once and must not be taken.
+class StepHandoff {
+ public:
+  virtual ~StepHandoff() = default;
+  virtual bool Take(const ResumePoint& at, NodeId anchor, size_t seq_len,
+                    const Binding& binding) = 0;
+};
 
 struct SearchConfig {
   /// At least one of `graph` / `snapshot` / `delta_view` must be set;
@@ -77,6 +127,8 @@ struct SearchConfig {
   /// enumerations that provably cannot produce duplicate bindings (batch
   /// detection per rule — see VioSet::AppendUnchecked).
   VioEmitter* emitter = nullptr;
+  /// Optional step hand-off hook (parallel engines only).
+  StepHandoff* handoff = nullptr;
 
   /// The accessor the engine actually matches against.
   GraphAccessor MakeAccessor() const {
@@ -86,19 +138,19 @@ struct SearchConfig {
   }
 };
 
-/// Literal evaluation against whichever backend the accessor wraps.
-inline Truth EvalLiteral(const GraphAccessor& g, const Literal& lit,
-                         const Binding& binding) {
-  if (g.is_snapshot()) return lit.Evaluate(*g.snapshot(), binding);
-  if (g.is_delta_view()) return lit.Evaluate(*g.delta_view(), binding);
-  return lit.Evaluate(*g.live_graph(), binding);
-}
-
 /// Runs the plan from pre-seeded `binding` (plan.seeds already bound).
 /// Verifies seed edges/literals first. Returns false iff a callback
 /// requested stop.
 bool RunSeededSearch(const SearchConfig& config, const MatchPlan& plan,
                      Binding* binding, const MatchCallback& callback);
+
+/// Resumes a handed-off unit: `binding` holds the prefix bound (and
+/// verified) through step at.step - 1; the walk scans step at.step from
+/// at.anchor_option, restricted to the slice when one is set. Returns
+/// false iff a callback requested stop.
+bool ResumeSearch(const SearchConfig& config, const MatchPlan& plan,
+                  const ResumePoint& at, Binding* binding,
+                  const MatchCallback& callback);
 
 /// Full batch search for one NGD: picks the most selective start node,
 /// iterates its candidates, expands each. Returns false iff stopped.
@@ -108,10 +160,14 @@ bool RunBatchSearch(const SearchConfig& config,
 /// Batch search with a caller-chosen start node and prebuilt plan
 /// (plan.seeds must be {start}). Dect and PDect hoist start/plan
 /// selection out of the per-candidate loop so a rule's plan is built
-/// once per detection call. Returns false iff stopped.
-bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
-                            const MatchPlan& plan,
-                            const MatchCallback& callback);
+/// once per detection call. `candidates` (optional) replaces the start
+/// label's candidate list — PDect passes a chunk of a fragment's owned
+/// candidates; either way the seeds' label is right by construction and
+/// not re-checked. Returns false iff stopped.
+bool RunBatchSearchWithPlan(
+    const SearchConfig& config, int start, const MatchPlan& plan,
+    const MatchCallback& callback,
+    const GraphSnapshot::IdRange* candidates = nullptr);
 
 }  // namespace ngd
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "detect/dect.h"
+#include "match/homomorphism.h"
 #include "parallel/fragment.h"
 #include "util/cancel.h"
 #include "util/thread_annotations.h"
@@ -85,6 +86,37 @@ inline ClusterMetricsSnapshot SnapshotOf(const ClusterMetrics& m) {
   s.peak_queue_depth = m.peak_queue_depth.load(std::memory_order_relaxed);
   s.inline_runs = m.inline_runs.load(std::memory_order_relaxed);
   return s;
+}
+
+/// The §7 hybrid cost model both parallel engines apply before scanning
+/// an anchor adjacency of `seq_len` entries with `matched` pattern nodes
+/// bound: handing the scan to p processors costs C·(k+1) + |adj|/p
+/// against |adj| for scanning it here.
+inline bool HandoffPays(double latency_c, size_t matched, size_t seq_len,
+                        int p) {
+  const double adj = static_cast<double>(seq_len);
+  return p > 1 && seq_len > 0 &&
+         latency_c * (static_cast<double>(matched) + 1.0) + adj / p < adj;
+}
+
+/// Work-unit splitting (paper §6.3): cuts the anchor sequence of step
+/// `at` (`seq_len` entries) into at most p contiguous slices and passes
+/// slice i's resume point to `spawn(i, slice)`. Charged as one split
+/// broadcast: p messages.
+template <typename SpawnFn>
+void SplitStep(ClusterMetrics* metrics, int p, const ResumePoint& at,
+               size_t seq_len, SpawnFn&& spawn) {
+  metrics->splits.fetch_add(1, std::memory_order_relaxed);
+  metrics->messages.fetch_add(p, std::memory_order_relaxed);
+  const size_t share = (seq_len + p - 1) / p;
+  for (int i = 0; i < p; ++i) {
+    const size_t b = static_cast<size_t>(i) * share;
+    if (b >= seq_len) break;
+    ResumePoint slice = at;
+    slice.slice_begin = static_cast<int32_t>(b);
+    slice.slice_end = static_cast<int32_t>(std::min(b + share, seq_len));
+    spawn(i, slice);
+  }
 }
 
 /// A mutex-guarded deque of work units. Owners push/pop at the back

@@ -10,23 +10,19 @@
 #include "graph/snapshot_io.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/hash.h"
 
 namespace ngd {
 
 namespace {
 
-// Same FNV-1a 64 as the snapshot container (snapshot_io.cc); the
-// embedded snapshot image carries its own per-section checksums, this
-// covers the fragment-specific ownership arrays.
-uint64_t Fnv1a(const void* data, size_t n,
-               uint64_t h = 1469598103934665603ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// NGDFRAG1's ownership-array checksums: util/hash.h's FNV-1a 64 seeded
+// with this constant, which is NOT the FNV offset basis
+// (14695981039346656037) — a digit was dropped when the format was
+// defined. It stays, because existing fragment files carry checksums
+// computed with it. The embedded snapshot image carries its own
+// per-section checksums (standard basis).
+constexpr uint64_t kFragmentChecksumSeed = 1469598103934665603ULL;
 
 #pragma pack(push, 1)
 struct FragmentHeader {
@@ -116,11 +112,14 @@ StatusOr<std::string> SerializeFragment(const FragmentSnapshot& frag) {
   header.halo_count = frag.halo.size();
   header.snapshot_bytes = snap_image.size();
   header.members_checksum =
-      Fnv1a(frag.members.data(), frag.members.size() * sizeof(NodeId));
-  header.halo_checksum =
-      Fnv1a(frag.halo.data(), frag.halo.size() * sizeof(NodeId));
+      Fnv1a64(frag.members.data(), frag.members.size() * sizeof(NodeId),
+              kFragmentChecksumSeed);
+  header.halo_checksum = Fnv1a64(frag.halo.data(),
+                                 frag.halo.size() * sizeof(NodeId),
+                                 kFragmentChecksumSeed);
   header.owner_checksum =
-      Fnv1a(frag.halo_owner.data(), frag.halo_owner.size() * sizeof(int32_t));
+      Fnv1a64(frag.halo_owner.data(), frag.halo_owner.size() * sizeof(int32_t),
+              kFragmentChecksumSeed);
 
   std::string out;
   out.reserve(sizeof(header) +
@@ -189,7 +188,8 @@ StatusOr<FragmentSnapshot> DeserializeFragment(std::string_view bytes,
   auto read_array = [&](auto* vec, size_t count, uint64_t checksum,
                         const char* what) -> Status {
     using Elem = typename std::decay_t<decltype(*vec)>::value_type;
-    if (Fnv1a(cursor, count * sizeof(Elem)) != checksum) {
+    if (Fnv1a64(cursor, count * sizeof(Elem), kFragmentChecksumSeed) !=
+        checksum) {
       return Status::Corruption(std::string("checksum mismatch in fragment ") +
                                 what + " array");
     }

@@ -10,26 +10,21 @@ namespace ngd {
 
 namespace {
 
-/// One PDect work unit. Three kinds, discriminated by depth/slice:
-///   - seed chunk (depth < 0): candidates [chunk_begin, chunk_end) of the
-///     rule's start label among fragment `home`'s OWNED nodes;
-///   - forwarded partial match (depth >= 0, no slice): binding expanded
-///     through step `depth-1`, shipped to the owner of step `depth`'s
-///     anchor;
-///   - slice unit (depth >= 0, slice set): same, but scanning only
-///     [slice_begin, slice_end) of the anchor adjacency (hybrid split).
+/// One PDect work unit. Three kinds:
+///   - seed chunk (empty binding): candidates [chunk_begin, chunk_end) of
+///     the rule's start label among fragment `home`'s OWNED nodes;
+///   - forwarded partial match: a binding shipped to the owner of step
+///     at.step's anchor, resuming there;
+///   - slice unit (at.sliced()): same, but scanning only a slice of the
+///     anchor adjacency (hybrid split).
 /// Units always expand against fragment `home`'s CSR; a thief reads the
 /// victim's fragment, paid for by the steal message.
 struct PUnit {
   int32_t ngd = -1;
   int32_t home = 0;
-  int32_t depth = -1;
   uint32_t chunk_begin = 0;
   uint32_t chunk_end = 0;
-  int32_t slice_begin = -1;
-  int32_t slice_end = -1;
-  bool y_false = false;
-  uint32_t y_ready = 0;
+  ResumePoint at;
   Binding binding;
 };
 
@@ -97,6 +92,56 @@ class FragmentDectEngine {
   }
 
  private:
+  /// PDect's side of the step hand-off for one unit: the §7 forward-vs-
+  /// split decision at every step, and halo-scan metering for the steps
+  /// it leaves to the walker.
+  class Handoff final : public StepHandoff {
+   public:
+    Handoff(FragmentDectEngine* engine, int worker, int rule,
+            const FragmentSnapshot& frag)
+        : e_(engine), worker_(worker), rule_(rule), frag_(frag) {}
+
+    bool Take(const ResumePoint& at, NodeId anchor, size_t seq_len,
+              const Binding& binding) override {
+      const PDectOptions& opts = e_->opts_;
+      const bool owned = frag_.Owns(anchor);
+      const size_t matched = e_->plans_[rule_].seeds.size() + at.step;
+      if (!at.sliced() &&
+          HandoffPays(opts.latency_c, matched, seq_len, e_->p_)) {
+        if (!owned && opts.enable_forward &&
+            seq_len >= opts.min_forward_adjacency) {
+          // Boundary-crossing match: ship the k+1 bound nodes to the
+          // anchor's owner, which scans its own (owned) adjacency.
+          // Exact: all nodes of any completion are within d_Σ of the
+          // anchor, so they lie inside the owner's members ∪ halo.
+          const int owner = frag_.halo_owner[HaloIndexOf(frag_, anchor)];
+          e_->pool_.Forward(worker_, owner,
+                            e_->MakeUnit(rule_, owner, at, binding));
+          return true;
+        }
+        if (opts.enable_split && seq_len >= opts.min_split_adjacency) {
+          SplitStep(&e_->metrics_, e_->p_, at, seq_len,
+                    [&](int target, const ResumePoint& slice) {
+                      e_->pool_.Spawn(worker_, target,
+                                      e_->MakeUnit(rule_, frag_.fragment_id,
+                                                   slice, binding));
+                    });
+          return true;
+        }
+      }
+      if (!owned) ++halo_scans;  // local read of a replica
+      return false;
+    }
+
+    uint64_t halo_scans = 0;
+
+   private:
+    FragmentDectEngine* e_;
+    int worker_;
+    int rule_;
+    const FragmentSnapshot& frag_;
+  };
+
   void ProcessUnit(int worker, PUnit& unit) {
     CancelCheck* check = run_.check(worker);
     if (check != nullptr && check->ShouldStop()) {
@@ -104,194 +149,52 @@ class FragmentDectEngine {
     }
     metrics_.work_units.fetch_add(1, std::memory_order_relaxed);
     const FragmentSnapshot& frag = rt_.fragment(unit.home);
-    const GraphAccessor acc(*frag.csr);
-    uint64_t halo_scans = 0;
-    if (unit.depth < 0) {
-      const Ngd& ngd = sigma_[unit.ngd];
-      const int start = start_of_[unit.ngd];
-      GraphSnapshot::IdRange range =
+    const Ngd& ngd = sigma_[unit.ngd];
+    const MatchPlan& plan = plans_[unit.ngd];
+    Handoff handoff(this, worker, unit.ngd, frag);
+    // Owner-computes seeding plus disjoint slice splits make the
+    // per-worker sets globally duplicate-free, so emission skips the
+    // hash probe.
+    VioEmitter emitter(&run_.local(worker), unit.ngd,
+                       ngd.pattern().NumNodes());
+    SearchConfig cfg;
+    cfg.snapshot = frag.csr.get();
+    cfg.pattern = &ngd.pattern();
+    cfg.x = &ngd.X();
+    cfg.y = &ngd.Y();
+    cfg.cancel = check;
+    cfg.emitter = &emitter;
+    cfg.handoff = &handoff;
+    if (unit.binding.empty()) {
+      const GraphSnapshot::IdRange owned =
           frag.candidates.Range(start_label_[unit.ngd]);
-      Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-      const uint32_t end =
-          std::min(unit.chunk_end, static_cast<uint32_t>(range.size()));
-      for (uint32_t i = unit.chunk_begin; i < end; ++i) {
-        if (check != nullptr && check->ShouldStop()) break;
-        std::fill(binding.begin(), binding.end(), kInvalidNode);
-        binding[start] = range.ptr[i];
-        bool y_false = false;
-        uint32_t y_ready = 0;
-        if (!ValidateSeed(unit.ngd, acc, binding, &y_false, &y_ready)) {
-          continue;
-        }
-        Expand(worker, unit.ngd, frag, acc, 0, binding, y_false, y_ready, -1,
-               -1, &halo_scans, check);
-      }
+      const size_t end = std::min<size_t>(unit.chunk_end, owned.size());
+      const GraphSnapshot::IdRange chunk{owned.ptr + unit.chunk_begin,
+                                         end - unit.chunk_begin};
+      RunBatchSearchWithPlan(cfg, start_of_[unit.ngd], plan, MatchCallback(),
+                             &chunk);
     } else {
-      Expand(worker, unit.ngd, frag, acc, unit.depth, unit.binding,
-             unit.y_false, unit.y_ready, unit.slice_begin, unit.slice_end,
-             &halo_scans, check);
+      ResumeSearch(cfg, plan, unit.at, &unit.binding, MatchCallback());
     }
-    if (halo_scans > 0) {
-      metrics_.messages.fetch_add(halo_scans, std::memory_order_relaxed);
+    if (handoff.halo_scans > 0) {
+      metrics_.messages.fetch_add(handoff.halo_scans,
+                                  std::memory_order_relaxed);
     }
     if (check == nullptr || !check->Stopped()) {
       run_.Retire(unit.ngd);
     }
   }
 
-  /// Seed edges (self-loops on the start node) and seed-ready literals;
-  /// the candidate's label is right by FragmentCandidates construction.
-  bool ValidateSeed(int r, const GraphAccessor& acc, const Binding& binding,
-                    bool* y_false, uint32_t* y_ready) const {
-    const Ngd& ngd = sigma_[r];
-    const MatchPlan& plan = plans_[r];
-    const Pattern& pattern = ngd.pattern();
-    for (int ce : plan.seed_check_edges) {
-      const PatternEdge& pe = pattern.edge(ce);
-      if (!acc.HasEdge(binding[pe.src], binding[pe.dst], pe.label)) {
-        return false;
-      }
-    }
-    for (int i : plan.seed_ready_x) {
-      if (EvalLiteral(acc, ngd.X()[i], binding) == Truth::kFalse) {
-        return false;
-      }
-    }
-    for (int i : plan.seed_ready_y) {
-      ++*y_ready;
-      if (EvalLiteral(acc, ngd.Y()[i], binding) == Truth::kFalse) {
-        *y_false = true;
-      }
-    }
-    if (!*y_false && *y_ready == ngd.Y().size()) return false;
-    return true;
-  }
-
-  /// Recursive plan walk from step `depth` with in-place binding + undo.
-  /// slice_begin >= 0 restricts the entry step's anchor scan (slice
-  /// units); deeper steps always scan fully or re-split.
-  void Expand(int worker, int r, const FragmentSnapshot& frag,
-              const GraphAccessor& acc, int depth, Binding& binding,
-              bool y_false, uint32_t y_ready, int64_t slice_begin,
-              int64_t slice_end, uint64_t* halo_scans, CancelCheck* check) {
-    if (check != nullptr && check->ShouldStop()) return;
-    const Ngd& ngd = sigma_[r];
-    const MatchPlan& plan = plans_[r];
-    if (static_cast<size_t>(depth) == plan.steps.size()) {
-      // A full-depth branch has every X literal admitted and Y violated
-      // (the all-Y-true case is pruned when the last Y literal binds).
-      // Owner-computes seeding plus disjoint slice splits make the
-      // per-worker sets globally duplicate-free, so the append skips
-      // the hash probe.
-      run_.local(worker).AppendUnchecked(r, binding.data(), binding.size());
-      return;
-    }
-    const Pattern& pattern = ngd.pattern();
-    const ExpansionStep& step = plan.steps[depth];
-    const PatternEdge& anchor_edge = pattern.edge(step.anchor_edge);
-    const NodeId anchor = binding[step.anchor_node];
-    const size_t seq_len =
-        acc.NeighborSeqLen(anchor, step.anchor_out, anchor_edge.label);
-    const bool anchor_owned = frag.Owns(anchor);
-
-    size_t begin = 0;
-    size_t end = seq_len;
-    if (slice_begin >= 0) {
-      begin = static_cast<size_t>(slice_begin);
-      end = std::min(static_cast<size_t>(slice_end), seq_len);
-    } else if (p_ > 1 && seq_len > 0) {
-      // Hybrid cost model (paper §6.3 / §7): sequential |adj| vs
-      // C·(k+1) + |adj|/p for k already-matched pattern nodes.
-      const double k = static_cast<double>(plan.seeds.size() + depth);
-      const double seq_cost = static_cast<double>(seq_len);
-      const double par_cost =
-          opts_.latency_c * (k + 1.0) + seq_cost / static_cast<double>(p_);
-      if (!anchor_owned && opts_.enable_forward &&
-          seq_len >= opts_.min_forward_adjacency && par_cost < seq_cost) {
-        // Boundary-crossing match: ship the k+1 bound nodes to the
-        // anchor's owner, which scans its own (owned) adjacency. Exact:
-        // all nodes of any completion are within d_Σ of the anchor, so
-        // they lie inside the owner's members ∪ halo.
-        PUnit u;
-        u.ngd = r;
-        u.home = frag.halo_owner[HaloIndexOf(frag, anchor)];
-        u.depth = depth;
-        u.y_false = y_false;
-        u.y_ready = y_ready;
-        u.binding = binding;
-        run_.AddPending(r);
-        pool_.Forward(worker, u.home, std::move(u));
-        return;
-      }
-      if (opts_.enable_split && seq_len >= opts_.min_split_adjacency &&
-          par_cost < seq_cost) {
-        // Work-unit splitting: broadcast p slice units of the anchor
-        // adjacency (p messages, as in PIncDect).
-        metrics_.splits.fetch_add(1, std::memory_order_relaxed);
-        metrics_.messages.fetch_add(p_, std::memory_order_relaxed);
-        const size_t share = (seq_len + p_ - 1) / p_;
-        for (int i = 0; i < p_; ++i) {
-          const size_t b = static_cast<size_t>(i) * share;
-          if (b >= seq_len) break;
-          PUnit s;
-          s.ngd = r;
-          s.home = frag.fragment_id;
-          s.depth = depth;
-          s.slice_begin = static_cast<int32_t>(b);
-          s.slice_end =
-              static_cast<int32_t>(std::min(b + share, seq_len));
-          s.y_false = y_false;
-          s.y_ready = y_ready;
-          s.binding = binding;
-          run_.AddPending(r);
-          pool_.Spawn(worker, i, std::move(s));
-        }
-        return;
-      }
-    }
-    if (!anchor_owned) ++*halo_scans;  // local read of a replica
-
-    const LabelId want_label = pattern.node(step.node).label;
-    acc.ForEachNeighborSlice(
-        anchor, step.anchor_out, anchor_edge.label, begin, end,
-        [&](NodeId cand) {
-          // Bounded response even on a hub anchor's long adjacency scan.
-          if (check != nullptr && check->ShouldStop()) return false;
-          if (!acc.NodeMatchesLabel(cand, want_label)) return true;
-          for (int ce : step.check_edges) {
-            const PatternEdge& pe = pattern.edge(ce);
-            const NodeId s = pe.src == step.node ? cand : binding[pe.src];
-            const NodeId d = pe.dst == step.node ? cand : binding[pe.dst];
-            if (!acc.HasEdge(s, d, pe.label)) return true;
-          }
-          binding[step.node] = cand;
-          bool child_y_false = y_false;
-          uint32_t child_y_ready = y_ready;
-          bool prune = false;
-          for (int i : step.ready_x) {
-            if (EvalLiteral(acc, ngd.X()[i], binding) == Truth::kFalse) {
-              prune = true;
-              break;
-            }
-          }
-          if (!prune) {
-            for (int i : step.ready_y) {
-              ++child_y_ready;
-              if (EvalLiteral(acc, ngd.Y()[i], binding) == Truth::kFalse) {
-                child_y_false = true;
-              }
-            }
-            if (!child_y_false && child_y_ready == ngd.Y().size()) {
-              prune = true;
-            }
-          }
-          if (!prune) {
-            Expand(worker, r, frag, acc, depth + 1, binding, child_y_false,
-                   child_y_ready, -1, -1, halo_scans, check);
-          }
-          binding[step.node] = kInvalidNode;
-          return true;
-        });
+  /// A handed-off unit of `rule` on fragment `home`, counted pending.
+  PUnit MakeUnit(int rule, int home, const ResumePoint& at,
+                 const Binding& binding) {
+    PUnit u;
+    u.ngd = rule;
+    u.home = home;
+    u.at = at;
+    u.binding = binding;
+    run_.AddPending(rule);
+    return u;
   }
 
   /// Index of halo node v in frag.halo (v MUST be a halo node: callers

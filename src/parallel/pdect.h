@@ -21,7 +21,9 @@
 // Large owned adjacencies split into p slice units under the same cost
 // model (work-unit splitting, as in PIncDect), and idle processors steal
 // seed chunks across fragments; every stolen or forwarded unit is one
-// simulated message (ClusterMetrics, surfaced in PDectResult).
+// simulated message (ClusterMetrics, surfaced in PDectResult). The plan
+// walk itself is match/'s shared walker; PDect decides, through a
+// StepHandoff, which steps leave the local walk.
 
 #ifndef NGD_PARALLEL_PDECT_H_
 #define NGD_PARALLEL_PDECT_H_

@@ -57,11 +57,6 @@ class PIncDectEngine {
         base = &*owned_base_;
       }
       dv_.emplace(*base, g_, batch_);
-      acc_old_ = GraphAccessor(*dv_, GraphView::kOld);
-      acc_new_ = GraphAccessor(*dv_, GraphView::kNew);
-    } else {
-      acc_old_ = GraphAccessor(g_, GraphView::kOld);
-      acc_new_ = GraphAccessor(g_, GraphView::kNew);
     }
 
     // Step 2: candidate neighborhood N_C(ΔG, Σ) = union of d_Σ-balls
@@ -110,7 +105,6 @@ class PIncDectEngine {
         unit.ngd_index = t.ngd_index;
         unit.pattern_edge = t.pattern_edge;
         unit.update_index = t.update_index;
-        unit.depth = 0;
         unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
         unit.binding[pe.src] = u.edge.src;
         unit.binding[pe.dst] = u.edge.dst;
@@ -121,7 +115,6 @@ class PIncDectEngine {
             u.edge.src < rt->partition().fragment_of.size()) {
           target = rt->OwnerOf(u.edge.src);
         }
-        unit.home_fragment = target;
         run_.AddPending(t.ngd_index);
         pool_.Seed(target, std::move(unit));
         ++i;
@@ -165,10 +158,6 @@ class PIncDectEngine {
            static_cast<uint32_t>(pattern_edge);
   }
 
-  const GraphAccessor& AccessorFor(GraphView view) const {
-    return view == GraphView::kNew ? acc_new_ : acc_old_;
-  }
-
   void BalanceOnce() {
     std::vector<size_t> sizes = pool_.QueueSizes();
     std::vector<double> skew = ComputeSkewness(sizes);
@@ -196,6 +185,47 @@ class PIncDectEngine {
     }
   }
 
+  /// PIncDect's side of the step hand-off for one unit: every step past
+  /// the unit's entry becomes a child unit (one unit per step, the
+  /// granularity the balancer moves), and the entry step splits under
+  /// the hybrid cost model.
+  class Handoff final : public StepHandoff {
+   public:
+    Handoff(PIncDectEngine* engine, int worker, const PWorkUnit& unit,
+            const MatchPlan& plan)
+        : e_(engine), worker_(worker), unit_(unit), plan_(plan) {}
+
+    bool Take(const ResumePoint& at, NodeId /*anchor*/, size_t seq_len,
+              const Binding& binding) override {
+      const PIncDectOptions& opts = e_->opts_;
+      if (at.step > unit_.at.step) {
+        e_->pool_.SpawnLocal(worker_, e_->MakeUnit(unit_, at, binding));
+        return true;
+      }
+      if (at.sliced() || !opts.enable_split ||
+          seq_len < opts.min_split_adjacency ||
+          !HandoffPays(opts.latency_c, plan_.seeds.size() + at.step,
+                       seq_len, e_->p_)) {
+        return false;
+      }
+      // Spawn, not Seed: mid-run broadcasts respect the depth bound, so
+      // a saturated receiver's slice runs inline here (N_C is replicated
+      // — any worker can expand any unit).
+      SplitStep(&e_->metrics_, e_->p_, at, seq_len,
+                [&](int target, const ResumePoint& slice) {
+                  e_->pool_.Spawn(worker_, target,
+                                  e_->MakeUnit(unit_, slice, binding));
+                });
+      return true;
+    }
+
+   private:
+    PIncDectEngine* e_;
+    int worker_;
+    const PWorkUnit& unit_;
+    const MatchPlan& plan_;
+  };
+
   void ProcessUnit(int worker, PWorkUnit& unit) {
     CancelCheck* check = run_.check(worker);
     if (check != nullptr && check->ShouldStop()) {
@@ -203,213 +233,59 @@ class PIncDectEngine {
     }
     metrics_.work_units.fetch_add(1, std::memory_order_relaxed);
     const Ngd& ngd = sigma_[unit.ngd_index];
-    const Pattern& pattern = ngd.pattern();
     const MatchPlan& plan =
         plans_.at(PlanKey(unit.ngd_index, unit.pattern_edge));
     const EffectiveUpdate& u = index_.updates()[unit.update_index];
-    const GraphView view =
+    const DeltaView* delta_view = dv_.has_value() ? &*dv_ : nullptr;
+    PivotEdgeFilter filter(delta_view, &index_, u.kind, unit.update_index);
+    Handoff handoff(this, worker, unit, plan);
+    SearchConfig cfg;
+    cfg.graph = &g_;
+    cfg.delta_view = delta_view;
+    cfg.pattern = &ngd.pattern();
+    cfg.x = &ngd.X();
+    cfg.y = &ngd.Y();
+    cfg.view =
         u.kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
-    // The DeltaView backend gets the span-check filter (base edges admit
-    // without a hash probe); the live backend keeps the classic one.
-    PivotEdgeFilter live_filter(&index_, u.kind, unit.update_index);
-    DeltaViewPivotEdgeFilter dv_filter(dv_.has_value() ? &*dv_ : nullptr,
-                                       &index_, u.kind, unit.update_index);
-    const EdgeFilter& filter =
-        dv_.has_value() ? static_cast<const EdgeFilter&>(dv_filter)
-                        : static_cast<const EdgeFilter&>(live_filter);
+    cfg.edge_filter = &filter;
+    cfg.node_scope = &nc_;
+    cfg.cancel = check;
+    cfg.handoff = &handoff;
 
-    // Seed validation for fresh pivot units (split/child units have
-    // already passed it).
-    if (unit.depth == 0 && unit.slice_begin < 0) {
-      if (!ValidateSeeds(plan, pattern, unit, view, filter)) {
-        run_.Retire(unit.ngd_index);  // fully processed: never matched
-        return;
+    // Minimal-pivot canonicality emits each match exactly once per update
+    // kind, and disjoint slice splits keep that one emission on a single
+    // worker — the append never needs the hash probe.
+    DeltaVio& local = run_.local(worker);
+    VioSet& target =
+        u.kind == UpdateKind::kInsert ? local.added : local.removed;
+    auto emit = [&](const Binding& match) {
+      if (IsCanonicalPivot(delta_view, ngd.pattern(), match, index_, u.kind,
+                           unit.update_index, unit.pattern_edge)) {
+        target.AppendUnchecked(unit.ngd_index, match.data(), match.size());
       }
+      return true;
+    };
+    // A fresh pivot unit validates its seeds; split and child units have
+    // already passed that check.
+    if (unit.at.step == 0 && !unit.at.sliced()) {
+      RunSeededSearch(cfg, plan, &unit.binding, emit);
+    } else {
+      ResumeSearch(cfg, plan, unit.at, &unit.binding, emit);
     }
-    ExpandUnit(worker, unit, plan, pattern, ngd, u.kind, view, filter, check);
     if (check == nullptr || !check->Stopped()) run_.Retire(unit.ngd_index);
   }
 
-  bool ValidateSeeds(const MatchPlan& plan, const Pattern& pattern,
-                     PWorkUnit& unit, GraphView view,
-                     const EdgeFilter& filter) {
-    const GraphAccessor& acc = AccessorFor(view);
-    for (int s : plan.seeds) {
-      const NodeId v = unit.binding[s];
-      if (!acc.NodeMatchesLabel(v, pattern.node(s).label)) return false;
-      if (!nc_.Contains(v)) return false;
-    }
-    for (int ce : plan.seed_check_edges) {
-      const PatternEdge& pe = pattern.edge(ce);
-      const NodeId s = unit.binding[pe.src];
-      const NodeId d = unit.binding[pe.dst];
-      if (!acc.HasEdge(s, d, pe.label)) return false;
-      if (!filter.Admit(ce, s, d, pe.label)) return false;
-    }
-    const Ngd& ngd = sigma_[unit.ngd_index];
-    for (int i : plan.seed_ready_x) {
-      if (EvalLiteral(acc, ngd.X()[i], unit.binding) == Truth::kFalse) {
-        return false;
-      }
-    }
-    for (int i : plan.seed_ready_y) {
-      ++unit.y_ready;
-      if (EvalLiteral(acc, ngd.Y()[i], unit.binding) == Truth::kFalse) {
-        unit.y_false = true;
-      }
-    }
-    if (!unit.y_false && unit.y_ready == ngd.Y().size()) return false;
-    return true;
-  }
-
-  void ExpandUnit(int worker, PWorkUnit& unit, const MatchPlan& plan,
-                  const Pattern& pattern, const Ngd& ngd, UpdateKind kind,
-                  GraphView view, const EdgeFilter& filter,
-                  CancelCheck* check) {
-    if (check != nullptr && check->ShouldStop()) return;
-    if (static_cast<size_t>(unit.depth) == plan.steps.size()) {
-      EmitIfCanonical(worker, unit, pattern, kind);
-      return;
-    }
-    const GraphAccessor& acc = AccessorFor(view);
-    const ExpansionStep& step = plan.steps[unit.depth];
-    const PatternEdge& anchor_edge = pattern.edge(step.anchor_edge);
-    const NodeId anchor = unit.binding[step.anchor_node];
-    // The logical adjacency list being partitioned: the raw overlay
-    // adjacency on the live backend, the base label range plus delta
-    // entries on the DeltaView (see GraphAccessor::NeighborSeqLen).
-    const size_t seq_len =
-        acc.NeighborSeqLen(anchor, step.anchor_out, anchor_edge.label);
-
-    size_t begin = 0;
-    size_t end = seq_len;
-    if (unit.slice_begin >= 0) {
-      begin = static_cast<size_t>(unit.slice_begin);
-      end = std::min(static_cast<size_t>(unit.slice_end), seq_len);
-    } else if (opts_.enable_split && p_ > 1 &&
-               seq_len >= opts_.min_split_adjacency) {
-      // Hybrid cost model: sequential |adj| vs C·(k+1) + |adj|/p, where k
-      // is the number of already-matched pattern nodes.
-      const double k = static_cast<double>(plan.seeds.size() + unit.depth);
-      const double seq_cost = static_cast<double>(seq_len);
-      const double par_cost =
-          opts_.latency_c * (k + 1.0) +
-          static_cast<double>(seq_len) / static_cast<double>(p_);
-      if (par_cost < seq_cost) {
-        SplitUnit(worker, unit, seq_len);
-        return;
-      }
-    }
-
-    const LabelId want_label = pattern.node(step.node).label;
-    acc.ForEachNeighborSlice(
-        anchor, step.anchor_out, anchor_edge.label, begin, end,
-        [&](NodeId cand) {
-          // Bounded response even on a hub anchor's long adjacency scan.
-          if (check != nullptr && check->ShouldStop()) return false;
-          if (!acc.NodeMatchesLabel(cand, want_label)) return true;
-          if (!nc_.Contains(cand)) return true;
-          {
-            const NodeId src = step.anchor_out ? anchor : cand;
-            const NodeId dst = step.anchor_out ? cand : anchor;
-            if (!filter.Admit(step.anchor_edge, src, dst,
-                              anchor_edge.label)) {
-              return true;
-            }
-          }
-          for (int ce : step.check_edges) {
-            const PatternEdge& pe = pattern.edge(ce);
-            const NodeId s =
-                pe.src == step.node ? cand : unit.binding[pe.src];
-            const NodeId d =
-                pe.dst == step.node ? cand : unit.binding[pe.dst];
-            if (!acc.HasEdge(s, d, pe.label) ||
-                !filter.Admit(ce, s, d, pe.label)) {
-              return true;
-            }
-          }
-
-          PWorkUnit child;
-          child.ngd_index = unit.ngd_index;
-          child.pattern_edge = unit.pattern_edge;
-          child.update_index = unit.update_index;
-          child.home_fragment = unit.home_fragment;
-          child.depth = unit.depth + 1;
-          child.y_false = unit.y_false;
-          child.y_ready = unit.y_ready;
-          child.binding = unit.binding;
-          child.binding[step.node] = cand;
-
-          bool prune = false;
-          for (int i : step.ready_x) {
-            if (EvalLiteral(acc, ngd.X()[i], child.binding) ==
-                Truth::kFalse) {
-              prune = true;
-              break;
-            }
-          }
-          if (!prune) {
-            for (int i : step.ready_y) {
-              ++child.y_ready;
-              if (EvalLiteral(acc, ngd.Y()[i], child.binding) ==
-                  Truth::kFalse) {
-                child.y_false = true;
-              }
-            }
-            if (!child.y_false && child.y_ready == ngd.Y().size()) {
-              prune = true;
-            }
-          }
-          if (prune) return true;
-
-          if (static_cast<size_t>(child.depth) == plan.steps.size()) {
-            EmitIfCanonical(worker, child, pattern, kind);
-          } else {
-            run_.AddPending(child.ngd_index);
-            pool_.SpawnLocal(worker, std::move(child));
-          }
-          return true;
-        });
-  }
-
-  void SplitUnit(int worker, const PWorkUnit& unit, size_t seq_len) {
-    metrics_.splits.fetch_add(1, std::memory_order_relaxed);
-    metrics_.messages.fetch_add(p_, std::memory_order_relaxed);
-    const size_t chunk = (seq_len + p_ - 1) / p_;
-    for (int i = 0; i < p_; ++i) {
-      const size_t b = static_cast<size_t>(i) * chunk;
-      if (b >= seq_len) break;
-      PWorkUnit slice = unit;
-      slice.slice_begin = static_cast<int32_t>(b);
-      slice.slice_end = static_cast<int32_t>(std::min(b + chunk, seq_len));
-      run_.AddPending(slice.ngd_index);
-      // Spawn, not Seed: mid-run broadcasts respect the depth bound, so a
-      // saturated receiver's slice runs inline here (N_C is replicated —
-      // any worker can expand any unit).
-      pool_.Spawn(worker, i, std::move(slice));
-    }
-  }
-
-  /// Emits a full-depth unit's binding into the worker-local delta.
-  void EmitIfCanonical(int worker, PWorkUnit& unit, const Pattern& pattern,
-                       UpdateKind kind) {
-    const bool canonical =
-        dv_.has_value()
-            ? IsCanonicalPivot(*dv_, pattern, unit.binding, index_, kind,
-                               unit.update_index, unit.pattern_edge)
-            : IsCanonicalPivot(g_, pattern, unit.binding, index_, kind,
-                               unit.update_index, unit.pattern_edge);
-    if (!canonical) {
-      return;
-    }
-    // Minimal-pivot canonicality emits each match exactly once per
-    // update kind, and disjoint slice splits keep that one emission on a
-    // single worker — the append never needs the hash probe.
-    DeltaVio& local = run_.local(worker);
-    VioSet& target =
-        kind == UpdateKind::kInsert ? local.added : local.removed;
-    target.AppendUnchecked(unit.ngd_index, unit.binding.data(),
-                           unit.binding.size());
+  /// A unit handed off from `parent` at `at`, counted pending.
+  PWorkUnit MakeUnit(const PWorkUnit& parent, const ResumePoint& at,
+                     const Binding& binding) {
+    PWorkUnit unit;
+    unit.ngd_index = parent.ngd_index;
+    unit.pattern_edge = parent.pattern_edge;
+    unit.update_index = parent.update_index;
+    unit.at = at;
+    unit.binding = binding;
+    run_.AddPending(unit.ngd_index);
+    return unit;
   }
 
   const Graph& g_;
@@ -420,8 +296,6 @@ class PIncDectEngine {
   UpdateIndex index_;
   std::optional<GraphSnapshot> owned_base_;
   std::optional<DeltaView> dv_;
-  GraphAccessor acc_old_;
-  GraphAccessor acc_new_;
   NodeSet nc_;
   std::unordered_map<int64_t, MatchPlan> plans_;
   ClusterMetrics metrics_;

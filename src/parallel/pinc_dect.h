@@ -10,13 +10,18 @@
 //      BVio_i. Adjacency lists are logically partitioned: a split work
 //      unit carries the slice [begin, end) of the anchor's adjacency that
 //      the receiving processor owns (its partial copy v.adj_i).
-//   4. Each processor expands partial solutions: candidate filtering with
-//      the HYBRID cost model — expand locally when
+//   4. Each processor expands partial solutions through match/'s shared
+//      plan walker, one plan step per work unit (a StepHandoff spawns the
+//      next step as a child unit): candidate filtering with the HYBRID
+//      cost model — expand locally when
 //          |adj| <= C·(k+1) + |adj|/p
 //      and otherwise broadcast p slice units (work-unit splitting).
-//      Verification of the remaining pattern edges is O(1) per edge here
-//      (hash edge index), so it is never worth splitting — a documented
-//      deviation from the paper, whose verification scans adjacency lists.
+//      Verification of the remaining pattern edges is a point lookup per
+//      edge here — a hash probe of the edge index on the live backend, a
+//      binary search over the smaller endpoint's label range on the
+//      DeltaView (GraphSnapshot::HasEdge) — so it is never worth
+//      splitting: a documented deviation from the paper, whose
+//      verification scans adjacency lists.
 //   5. A balancer thread wakes every `intvl` ms, computes the skewness
 //      ||BVio_i|| / avg ||BVio_t||, and moves work from processors above
 //      η (= 3) to processors below η' (= 0.7).

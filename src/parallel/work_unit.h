@@ -2,9 +2,10 @@
 //
 // A work unit is a partial solution hup(u0..uk) awaiting expansion: the
 // pivot identity (NGD, pattern edge, update index), the partial binding,
-// the literal bookkeeping, and — for units produced by hybrid splitting —
-// the slice [slice_begin, slice_end) of the anchor adjacency list this
-// processor is responsible for (its "partial copy v.adj_i").
+// and the ResumePoint it re-enters the shared plan walker at — the
+// literal bookkeeping and, for units produced by hybrid splitting, the
+// slice of the anchor adjacency list this processor is responsible for
+// (its "partial copy v.adj_i").
 
 #ifndef NGD_PARALLEL_WORK_UNIT_H_
 #define NGD_PARALLEL_WORK_UNIT_H_
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/expr.h"
+#include "match/homomorphism.h"
 
 namespace ngd {
 
@@ -20,22 +22,10 @@ struct PWorkUnit {
   int32_t ngd_index = -1;
   int32_t pattern_edge = -1;
   int32_t update_index = -1;
-  /// Fragment whose CSR serves this unit's expansion (fragment-native
-  /// PDect; stolen units keep their home and read the victim's fragment —
-  /// the steal message paid for the remote access).
-  int32_t home_fragment = 0;
-  /// Number of plan steps already applied (the unit expands step `depth`).
-  int32_t depth = 0;
-  /// Slice of the anchor adjacency to scan; (-1,-1) means the full list.
-  int32_t slice_begin = -1;
-  int32_t slice_end = -1;
-  /// Literal bookkeeping mirrored from the sequential engine.
-  bool y_false = false;
-  uint32_t y_ready = 0;
+  /// Where the unit re-enters the plan walk: the step, the anchor option
+  /// and slice it was handed off on, and the literal state of its prefix.
+  ResumePoint at;
   Binding binding;
-
-  /// Rough serialized size for communication accounting (bytes).
-  size_t WireSize() const { return 32 + binding.size() * sizeof(NodeId); }
 };
 
 /// ||BVio_i|| / avg_t ||BVio_t|| — the skewness measure of paper §6.3.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "util/hash.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 
@@ -122,15 +123,6 @@ std::string SerializeSigma(const NgdSet& sigma, const SchemaPtr& schema) {
     out.push_back('\n');
   }
   return out;
-}
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 void CollectLiteralAttrs(const std::vector<Literal>& lits,
@@ -296,7 +288,8 @@ MinimizedSigma FromKept(const NgdSet& sigma, std::vector<int> kept) {
 }  // namespace
 
 uint64_t FingerprintSigma(const NgdSet& sigma, const SchemaPtr& schema) {
-  return Fnv1a(SerializeSigma(sigma, schema));
+  const std::string text = SerializeSigma(sigma, schema);
+  return Fnv1a64(text.data(), text.size());
 }
 
 MinimizedSigma MinimizeSigma(const NgdSet& sigma, const SchemaPtr& schema,

@@ -152,6 +152,42 @@ TEST(NgdlintTest, BannedConstructsFireWithSuppression) {
   EXPECT_EQ(WithRule(all, "banned-time")[0].line, 5);
 }
 
+TEST(NgdlintTest, DuplicatedFnvFires) {
+  FixtureTree t("ngdlint_fnv");
+  t.Write("src/magics.h", kAllMagics);
+  t.Write("src/util/hash.h",
+          "#ifndef NGD_UTIL_HASH_H_\n"
+          "#define NGD_UTIL_HASH_H_\n"
+          "inline constexpr unsigned long long kPrime = 1099511628211ULL;\n"
+          "#endif\n");
+  t.Write("src/io.cc",
+          "unsigned long long Mix(unsigned long long h, unsigned char c) {\n"
+          "  h ^= c;\n"
+          "  return h * 1099511628211ULL;\n"
+          "}\n"
+          "unsigned long long Mix2(unsigned long long h) {\n"
+          "  return h * 0x100000001B3ull;\n"
+          "}\n");
+  const auto hits = WithRule(t.Lint(), "fnv-duplicate");
+  ASSERT_EQ(hits.size(), 2u);  // util/hash.h itself is exempt
+  EXPECT_EQ(hits[0].file, "src/io.cc");
+  EXPECT_EQ(hits[0].line, 3);
+  EXPECT_EQ(hits[1].line, 6);
+}
+
+TEST(NgdlintTest, FnvInCommentsOrLongerNumbersIsQuiet) {
+  FixtureTree t("ngdlint_fnv_quiet");
+  t.Write("src/magics.h", kAllMagics);
+  t.Write("src/io.cc",
+          "// FNV-1a: h *= 1099511628211, see util/hash.h\n"
+          "static const char* kDoc = \"prime 0x100000001b3\";\n"
+          "unsigned long long a = 21099511628211ULL;\n"
+          "unsigned long long b = 0x100000001b30ULL;\n"
+          "unsigned long long c = 1099511628211;  "
+          "// ngdlint:allow(fnv-duplicate)\n");
+  EXPECT_TRUE(WithRule(t.Lint(), "fnv-duplicate").empty());
+}
+
 TEST(NgdlintTest, MissingIncludeFires) {
   FixtureTree t("ngdlint_include");
   t.Write("src/magics.h", kAllMagics);

@@ -6,6 +6,7 @@
 #include "discovery/ngd_generator.h"
 #include "graph/generators.h"
 #include "parallel/pinc_dect.h"
+#include "test_util.h"
 
 namespace ngd {
 namespace {
@@ -103,6 +104,55 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<VariantCase>& info) {
       return info.param.name;
     });
+
+// Closure-edge patterns on a hub graph with splitting forced on (C = 0,
+// every adjacency of two or more worth splitting), on both backends: the
+// walker chooses among several anchors per step, and every slice must
+// scan the anchor it was split on.
+class PIncDectHandoffTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PIncDectHandoffTest, ClosurePatternsMatchIncDectUnderHandoff) {
+  SchemaPtr schema = Schema::Create();
+  auto g = testing_util::BuildHubGraph(schema, 120, 3, 400, 67);
+  NgdSet sigma = testing_util::MustParse(testing_util::kClosureRules, schema);
+  ASSERT_EQ(sigma.size(), 2u);
+  for (size_t r = 0; r < sigma.size(); ++r) {
+    const PatternEdge& pe = sigma[r].pattern().edge(0);
+    EXPECT_TRUE(testing_util::HasMultiAnchorStep(
+        BuildMatchPlan(sigma[r].pattern(), {pe.src, pe.dst}, &sigma[r].X(),
+                       &sigma[r].Y())))
+        << sigma[r].name();
+  }
+  UpdateGenOptions up;
+  up.fraction = 0.1;
+  up.seed = 68;
+  UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
+  ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
+
+  IncDectOptions oracle_opts;
+  oracle_opts.snapshot_mode = SnapshotMode::kNever;
+  auto oracle = IncDect(*g, sigma, batch, oracle_opts);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_GT(oracle->added.size() + oracle->removed.size(), 0u);
+
+  for (SnapshotMode mode : {SnapshotMode::kNever, SnapshotMode::kAlways}) {
+    PIncDectOptions opts;
+    opts.num_processors = GetParam();
+    opts.snapshot_mode = mode;
+    opts.latency_c = 0.0;
+    opts.min_split_adjacency = 2;
+    auto result = PIncDect(*g, sigma, batch, opts);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->delta.added.Sorted(), oracle->added.Sorted());
+    EXPECT_EQ(result->delta.removed.Sorted(), oracle->removed.Sorted());
+    if (GetParam() > 1) {
+      EXPECT_GT(result->metrics.splits, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Processors, PIncDectHandoffTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(PIncDectTest, SplittingTriggersOnHubs) {
   // A hub with a huge adjacency list must trigger the hybrid splitter

@@ -14,6 +14,7 @@
 #include "discovery/ngd_generator.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "match/match_order.h"
 #include "util/rng.h"
 
 namespace ngd {
@@ -213,6 +214,63 @@ inline RandomWorkload MakeRandomWorkload(uint64_t seed, Rng* rng,
   gen.violation_rate = violation_rate;
   w.sigma = GenerateNgdSet(*w.graph, gen);
   return w;
+}
+
+// ---- Closure-edge patterns on a hub graph -------------------------------
+
+// A triangle and a 4-cycle with a chord: the last plan step of each has
+// two or more anchor options, so the walker's anchor choice is live.
+inline constexpr const char* kClosureRules = R"(
+ngd triangle {
+  match (x:n)-[e]->(y:n), (y)-[e]->(z:n), (x)-[e]->(z)
+  then x.v <= z.v
+}
+ngd chorded_square {
+  match (a:n)-[e]->(b:n), (b)-[e]->(c:n), (c)-[e]->(d:n), (a)-[e]->(d),
+        (a)-[e]->(c)
+  then a.v + b.v <= c.v + d.v
+}
+)";
+
+/// `nodes` nodes labelled n with a small int attribute v; the first
+/// `hubs` reach most other nodes (and are reached by many), the rest are
+/// wired by `extra_edges` random edges — long adjacencies next to short
+/// ones, so anchor costs differ and the hybrid policy splits.
+inline std::unique_ptr<Graph> BuildHubGraph(const SchemaPtr& schema,
+                                            size_t nodes, size_t hubs,
+                                            size_t extra_edges,
+                                            uint64_t seed) {
+  auto g = std::make_unique<Graph>(schema);
+  const LabelId e = schema->InternLabel("e");
+  Rng rng(seed);
+  for (size_t i = 0; i < nodes; ++i) {
+    const NodeId v = g->AddNode("n");
+    g->SetAttr(v, "v", Value(rng.UniformInt(0, 9)));
+  }
+  for (NodeId hub = 0; hub < hubs; ++hub) {
+    for (NodeId v = static_cast<NodeId>(hubs); v < nodes; ++v) {
+      if (rng.Bernoulli(0.6)) MustEdge(g->AddEdge(hub, v, e));
+      if (rng.Bernoulli(0.3)) MustEdge(g->AddEdge(v, hub, e));
+    }
+  }
+  const int64_t last = static_cast<int64_t>(nodes) - 1;
+  for (size_t k = 0; k < extra_edges; ++k) {
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(0, last));
+    const NodeId d = static_cast<NodeId>(rng.UniformInt(0, last));
+    if (s != d && !g->HasEdge(s, d, e, GraphView::kNew)) {
+      MustEdge(g->AddEdge(s, d, e));
+    }
+  }
+  return g;
+}
+
+/// True iff some step of `plan` can be anchored at two or more matched
+/// nodes — the case where the walker's anchor choice is live.
+inline bool HasMultiAnchorStep(const MatchPlan& plan) {
+  for (const ExpansionStep& step : plan.steps) {
+    if (step.anchor_options.size() >= 2) return true;
+  }
+  return false;
 }
 
 /// Parses a rule set or aborts the test.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 
+#include "util/hash.h"
 #include "util/rational.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -134,6 +135,16 @@ TEST(RngTest, ForkProducesIndependentStream) {
 }
 
 // ---- Rational --------------------------------------------------------------
+
+TEST(HashTest, Fnv1a64MatchesPublishedVectors) {
+  // Every checksummed format and the Σ-cache key depend on these bytes:
+  // the empty input hashes to the offset basis, and "a" to the published
+  // FNV-1a 64 test vector.
+  EXPECT_EQ(Fnv1a64("", 0), 14695981039346656037ULL);
+  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+  // Chaining through the seed equals hashing the concatenation.
+  EXPECT_EQ(Fnv1a64("b", 1, Fnv1a64("a", 1)), Fnv1a64("ab", 2));
+}
 
 TEST(RationalTest, NormalizesSignAndGcd) {
   Rational r(6, -4);

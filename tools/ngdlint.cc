@@ -12,6 +12,11 @@
 //                       Both char-array initializers and exact string
 //                       literals count as definitions; substrings inside
 //                       longer literals (error messages) do not.
+//   fnv-duplicate       the FNV-1a 64 prime (1099511628211 or
+//                       0x100000001b3) in src/ code outside util/hash.h —
+//                       a private copy of the hash every checksummed
+//                       format and the Σ-cache key share (comments and
+//                       string literals do not count).
 //   naked-new           `new` outside a smart-pointer factory in src/.
 //   banned-rand /       rand() (use util/rng.h), std::endl (use '\n'),
 //   banned-endl /       time() (use util/timer.h) in library code.
@@ -279,6 +284,32 @@ void RuleBanned(const Source& s, std::vector<Finding>* out) {
   }
 }
 
+// A numeric literal equal to the FNV-1a 64 prime, in decimal or hex (any
+// case, any integer suffix), outside util/hash.h.
+void RuleFnvDuplicate(const Source& s, std::vector<Finding>* out) {
+  if (s.path == "src/util/hash.h") return;
+  std::string text = s.blank;
+  std::transform(text.begin(), text.end(), text.begin(), [](char c) {
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  });
+  for (const std::string& prime :
+       {std::string("1099511628211"), std::string("0x100000001b3")}) {
+    for (size_t p = text.find(prime); p != std::string::npos;
+         p = text.find(prime, p + 1)) {
+      const size_t end = p + prime.size();
+      if (p > 0 && IsIdentChar(text[p - 1])) continue;
+      if (end < text.size() && std::isxdigit(static_cast<unsigned char>(
+                                   text[end]))) {
+        continue;
+      }
+      const int line = LineOf(text, p);
+      if (Suppressed(s, line, "fnv-duplicate")) continue;
+      out->push_back({s.path, line, "fnv-duplicate",
+                      "FNV-1a prime outside util/hash.h; use Fnv1a64"});
+    }
+  }
+}
+
 // std:: types a header must directly include the defining header for.
 // Conservative by design: only unambiguous type -> header pairs.
 const std::pair<const char*, const char*> kStdHeaders[] = {
@@ -447,6 +478,7 @@ std::vector<Finding> LintTree(const std::string& root) {
   for (const auto& [path, s] : files) {
     if (path.compare(0, 4, "src/") != 0) continue;
     RuleBanned(s, &out);
+    RuleFnvDuplicate(s, &out);
     if (path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0) {
       RuleMissingInclude(s, &out);
       RuleIncludeGuard(s, &out);
