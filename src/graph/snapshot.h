@@ -95,15 +95,11 @@ class GraphSnapshot {
   /// out-range and dst's in-range for `label`.
   bool HasEdge(NodeId src, NodeId dst, LabelId label) const;
 
-  /// Invokes fn(LabelId, NodeId) for every out-edge v -[label]-> w
-  /// (resp. in-edge w -[label]-> v) of v, label-ascending.
+  /// Invokes fn(LabelId, NodeId) for every out-edge v -[label]-> w of v,
+  /// label-ascending.
   template <typename Fn>
   void ForEachOutEdge(NodeId v, Fn&& fn) const {
     ForEachEdge(out_, v, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void ForEachInEdge(NodeId v, Fn&& fn) const {
-    ForEachEdge(in_, v, std::forward<Fn>(fn));
   }
 
   /// All node ids with the given label, ascending (candidate array).

@@ -14,14 +14,13 @@
 //     stealing; every unit that changes queues is charged one simulated
 //     message.
 //   - FragmentRuntime: the fragmented graph itself — p FragmentSnapshots
-//     (induced CSR + halo, parallel/fragment.h) built from one Partition,
-//     with per-fragment warm-start persistence.
+//     (induced CSR + halo, parallel/fragment.h) built from one Partition.
 //
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
-// PIncDect uses the pool with fragment ownership for pivot placement and
-// the paper's skew balancer layered on top (its candidate neighborhood
-// N_C is replicated at every processor, so its units run anywhere). Both
-// keep their per-call worker results, cancel broadcast and completion
+// PIncDect uses the pool with round-robin pivot placement and the paper's
+// skew balancer layered on top (its candidate neighborhood N_C is
+// replicated at every processor, so its units run anywhere). Both keep
+// their per-call worker results, cancel broadcast and completion
 // accounting in one ParallelRun.
 
 #ifndef NGD_PARALLEL_CLUSTER_H_
@@ -482,19 +481,18 @@ class ParallelRun {
 /// The fragmented graph: p FragmentSnapshots over one Partition. Owns the
 /// per-fragment CSRs (built in parallel) and answers ownership queries.
 /// Thread-compatible by immutability: every member is written during
-/// construction (or Load) and only read afterwards, so all p workers share
-/// a runtime with no capability to hold — the thread-safety analysis has
+/// construction and only read afterwards, so all p workers share a
+/// runtime with no capability to hold — the thread-safety analysis has
 /// nothing to check here by design;
 /// per-call engines own their ClusterMetrics and charge replication from
 /// total_halo_nodes(). A runtime outlives rule sets whose max pattern
 /// diameter fits halo_hops(), so benchmarks and the future ngdd daemon
-/// build (or Load) it once and amortize across detection calls.
+/// build it once and amortize across detection calls.
 class FragmentRuntime {
  public:
   /// Partitions `view` of `g` into p fragments (label/degree-aware LDG)
   /// and builds every FragmentSnapshot with `halo_hops`-hop halos.
-  FragmentRuntime(const Graph& g, int p, GraphView view, int halo_hops,
-                  const PartitionOptions& popts = {});
+  FragmentRuntime(const Graph& g, int p, GraphView view, int halo_hops);
 
   /// Builds fragments over a caller-supplied partition.
   FragmentRuntime(const Graph& g, Partition part, GraphView view,
@@ -510,18 +508,7 @@ class FragmentRuntime {
   /// Σ_f |halo(f)| — the honest replicated_nodes figure.
   uint64_t total_halo_nodes() const;
 
-  /// Warm-start persistence: fragment f goes to "<prefix>.f<f>.ngdfrag".
-  [[nodiscard]] Status Save(const std::string& prefix) const;
-  /// Loads p fragment files saved by Save, revalidating that they form a
-  /// consistent fragmentation (every node owned exactly once, matching
-  /// halo depth/view). Partition stats (boundary sets, crossing edges)
-  /// are reconstructed from the fragment CSRs — exact when halo_hops >= 1.
-  [[nodiscard]] static StatusOr<FragmentRuntime> Load(const std::string& prefix,
-                                                      int p, SchemaPtr schema);
-
  private:
-  FragmentRuntime() = default;
-
   GraphView view_ = GraphView::kNew;
   int halo_hops_ = 0;
   Partition partition_;

@@ -6,8 +6,14 @@
 
 namespace ngd {
 
-Partition PartitionGraph(const Graph& g, int p, GraphView view,
-                         const PartitionOptions& opts) {
+namespace {
+
+// Weight of the label co-location bonus relative to one placed neighbor.
+constexpr double kLabelAffinity = 0.25;
+
+}  // namespace
+
+Partition PartitionGraph(const Graph& g, int p, GraphView view) {
   assert(p >= 1);
   Partition result;
   result.num_fragments = p;
@@ -16,36 +22,28 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view,
   result.fragment_sizes.assign(p, 0);
   result.members.resize(p);
   result.boundary.resize(p);
-  const double capacity = opts.capacity > 0.0
-                              ? opts.capacity
-                              : static_cast<double>(n) / p + 1.0;
+  const double capacity = static_cast<double>(n) / p + 1.0;
 
   // Stream order: descending degree (ties by id) places hubs first, so
   // they spread over fragments while all fragments are still empty and
   // their spokes then follow them via the neighbor score.
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
-  if (opts.degree_order) {
-    std::vector<uint32_t> degree(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      for (const auto& e : g.OutEdges(v)) {
-        if (!EdgeInView(e.state, view)) continue;
-        ++degree[v];
-        ++degree[e.other];
-      }
+  std::vector<uint32_t> degree(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto& e : g.OutEdges(v)) {
+      if (!EdgeInView(e.state, view)) continue;
+      ++degree[v];
+      ++degree[e.other];
     }
-    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      return degree[a] > degree[b];
-    });
   }
+  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    return degree[a] > degree[b];
+  });
 
-  // Per-fragment per-label population for the affinity bonus; sized
-  // lazily only when label awareness is on.
+  // Per-fragment per-label population for the affinity bonus.
   const size_t num_labels = g.schema()->labels().size();
-  std::vector<uint32_t> label_count;
-  if (opts.label_affinity > 0.0 && num_labels > 0) {
-    label_count.assign(static_cast<size_t>(p) * num_labels, 0);
-  }
+  std::vector<uint32_t> label_count(static_cast<size_t>(p) * num_labels, 0);
 
   std::vector<double> score(p);
   for (NodeId v : order) {
@@ -58,15 +56,13 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view,
     };
     for (const auto& e : g.OutEdges(v)) tally(e);
     for (const auto& e : g.InEdges(v)) tally(e);
-    if (!label_count.empty()) {
-      const LabelId l = g.NodeLabel(v);
-      for (int f = 0; f < p; ++f) {
-        const double placed =
-            static_cast<double>(result.fragment_sizes[f]) + 1.0;
-        score[f] += opts.label_affinity *
-                    (label_count[static_cast<size_t>(f) * num_labels + l] /
-                     placed);
-      }
+    const LabelId l = g.NodeLabel(v);
+    for (int f = 0; f < p; ++f) {
+      const double placed =
+          static_cast<double>(result.fragment_sizes[f]) + 1.0;
+      score[f] += kLabelAffinity *
+                  (label_count[static_cast<size_t>(f) * num_labels + l] /
+                   placed);
     }
 
     int best = -1;
@@ -81,19 +77,12 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view,
         best = f;
       }
     }
-    if (best < 0) {
-      // Every fragment is at capacity: overflow goes to the least-loaded
-      // fragment, not silently to fragment 0.
-      best = 0;
-      for (int f = 1; f < p; ++f) {
-        if (result.fragment_sizes[f] < result.fragment_sizes[best]) best = f;
-      }
-    }
+    // Capacity |V|/p + 1 leaves room: fewer than |V| nodes are placed, so
+    // some fragment holds fewer than |V|/p.
+    assert(best >= 0);
     result.fragment_of[v] = best;
     ++result.fragment_sizes[best];
-    if (!label_count.empty()) {
-      ++label_count[static_cast<size_t>(best) * num_labels + g.NodeLabel(v)];
-    }
+    ++label_count[static_cast<size_t>(best) * num_labels + l];
   }
 
   // Ownership arrays and boundary sets; iterating v ascending keeps both

@@ -15,8 +15,9 @@
 //     bonus for fragments already rich in the node's label — candidate
 //     scans C(u) are label-indexed, so co-locating a label keeps seed
 //     enumeration fragment-local for the rules that select it;
-//   - when every fragment is at capacity the node falls back to the
-//     least-loaded fragment (overflow must not skew onto fragment 0).
+//   - capacity is |V|/p plus one node of slack: until every node is
+//     placed some fragment holds fewer than |V|/p nodes, so a node always
+//     finds a fragment with room.
 //
 // The result carries full ownership structure: fragment_of, per-fragment
 // member lists, and per-fragment boundary sets (owned nodes with at least
@@ -32,19 +33,6 @@
 
 namespace ngd {
 
-struct PartitionOptions {
-  /// Per-fragment node capacity; 0 = auto (|V|/p plus one node of slack,
-  /// always feasible). Tighter explicit capacities force overflow and
-  /// exercise the least-loaded fallback.
-  double capacity = 0.0;
-  /// Weight of the label co-location bonus relative to one placed
-  /// neighbor. 0 disables label awareness.
-  double label_affinity = 0.25;
-  /// Stream nodes in descending-degree order (ties by id). Off = id
-  /// order, the classic LDG stream.
-  bool degree_order = true;
-};
-
 struct Partition {
   int num_fragments = 1;
   std::vector<int> fragment_of;  ///< node id -> fragment [0, p)
@@ -58,10 +46,9 @@ struct Partition {
 };
 
 /// Partitions the nodes of `view` of `g` into `p` balanced fragments.
-/// Deterministic: same (g, p, view, opts) -> same Partition.
+/// Deterministic: same (g, p, view) -> same Partition.
 Partition PartitionGraph(const Graph& g, int p,
-                         GraphView view = GraphView::kNew,
-                         const PartitionOptions& opts = {});
+                         GraphView view = GraphView::kNew);
 
 }  // namespace ngd
 

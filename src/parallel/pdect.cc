@@ -10,6 +10,9 @@ namespace ngd {
 
 namespace {
 
+/// Seed candidates per seed-chunk work unit (the steal granularity).
+constexpr size_t kSeedChunk = 256;
+
 /// One PDect work unit. Three kinds:
 ///   - seed chunk (empty binding): candidates [chunk_begin, chunk_end) of
 ///     the rule's start label among fragment `home`'s OWNED nodes;
@@ -36,8 +39,7 @@ class FragmentDectEngine {
         opts_(opts),
         rt_(rt),
         p_(rt.num_fragments()),
-        pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
-              opts.max_queue_depth),
+        pool_(p_, &metrics_, /*enable_steal=*/p_ > 1, opts.max_queue_depth),
         run_(p_, sigma.size(), opts) {}
 
   PDectResult Run(const GraphAccessor& global) {
@@ -59,18 +61,18 @@ class FragmentDectEngine {
     }
 
     // Owner-computes seeding: fragment f expands exactly the candidates
-    // it owns, in seed_chunk-sized units (the steal granularity).
-    const size_t chunk = std::max<size_t>(1, opts_.seed_chunk);
+    // it owns, in kSeedChunk-sized units (the steal granularity).
     for (int f = 0; f < p_; ++f) {
       const FragmentSnapshot& frag = rt_.fragment(f);
       for (size_t r = 0; r < sigma_.size(); ++r) {
         const size_t count = frag.candidates.Count(start_label_[r]);
-        for (size_t b = 0; b < count; b += chunk) {
+        for (size_t b = 0; b < count; b += kSeedChunk) {
           PUnit u;
           u.ngd = static_cast<int32_t>(r);
           u.home = f;
           u.chunk_begin = static_cast<uint32_t>(b);
-          u.chunk_end = static_cast<uint32_t>(std::min(b + chunk, count));
+          u.chunk_end =
+              static_cast<uint32_t>(std::min(b + kSeedChunk, count));
           run_.AddPending(static_cast<int>(r));
           pool_.Seed(f, std::move(u));
         }
@@ -108,18 +110,17 @@ class FragmentDectEngine {
       const size_t matched = e_->plans_[rule_].seeds.size() + at.step;
       if (!at.sliced() &&
           HandoffPays(opts.latency_c, matched, seq_len, e_->p_)) {
-        if (!owned && opts.enable_forward &&
-            seq_len >= opts.min_forward_adjacency) {
+        if (!owned && seq_len >= opts.min_forward_adjacency) {
           // Boundary-crossing match: ship the k+1 bound nodes to the
           // anchor's owner, which scans its own (owned) adjacency.
           // Exact: all nodes of any completion are within d_Σ of the
           // anchor, so they lie inside the owner's members ∪ halo.
-          const int owner = frag_.halo_owner[HaloIndexOf(frag_, anchor)];
+          const int owner = e_->rt_.OwnerOf(anchor);
           e_->pool_.Forward(worker_, owner,
                             e_->MakeUnit(rule_, owner, at, binding));
           return true;
         }
-        if (opts.enable_split && seq_len >= opts.min_split_adjacency) {
+        if (seq_len >= opts.min_split_adjacency) {
           SplitStep(&e_->metrics_, e_->p_, at, seq_len,
                     [&](int target, const ResumePoint& slice) {
                       e_->pool_.Spawn(worker_, target,
@@ -195,14 +196,6 @@ class FragmentDectEngine {
     u.binding = binding;
     run_.AddPending(rule);
     return u;
-  }
-
-  /// Index of halo node v in frag.halo (v MUST be a halo node: callers
-  /// check !frag.Owns(v), and every non-owned node reachable during
-  /// expansion is replicated — see parallel/fragment.h).
-  static size_t HaloIndexOf(const FragmentSnapshot& frag, NodeId v) {
-    const auto it = std::lower_bound(frag.halo.begin(), frag.halo.end(), v);
-    return static_cast<size_t>(it - frag.halo.begin());
   }
 
   const NgdSet& sigma_;

@@ -19,11 +19,12 @@
 //     model C·(k+1) + |adj|/p < |adj| says shipping k+1 bound nodes
 //     beats shipping the scan — one message, counted in `forwards`.
 // Large owned adjacencies split into p slice units under the same cost
-// model (work-unit splitting, as in PIncDect), and idle processors steal
-// seed chunks across fragments; every stolen or forwarded unit is one
-// simulated message (ClusterMetrics, surfaced in PDectResult). The plan
-// walk itself is match/'s shared walker; PDect decides, through a
-// StepHandoff, which steps leave the local walk.
+// model (work-unit splitting, as in PIncDect), and at p > 1 idle
+// processors steal seed chunks of 256 candidates across fragments; every
+// stolen or forwarded unit is one simulated message (ClusterMetrics,
+// surfaced in PDectResult). The plan walk itself is match/'s shared
+// walker; PDect decides, through a StepHandoff, which steps leave the
+// local walk.
 
 #ifndef NGD_PARALLEL_PDECT_H_
 #define NGD_PARALLEL_PDECT_H_
@@ -43,10 +44,9 @@ struct PDectOptions : DetectControl {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
   /// Pre-built fragment runtime to amortize partitioning + fragment CSR
-  /// builds across calls (benchmarks, warm starts via FragmentRuntime::
-  /// Load). Used when it matches: num_fragments == num_processors, same
-  /// view, halo_hops >= max pattern diameter of Σ; otherwise the engine
-  /// builds its own.
+  /// builds across calls (benchmarks, long-lived services). Used when it
+  /// matches: num_fragments == num_processors, same view, halo_hops >=
+  /// max pattern diameter of Σ; otherwise the engine builds its own.
   const FragmentRuntime* runtime = nullptr;
   /// Communication-latency constant C of the hybrid cost model (the
   /// paper fixes 60; Fig. 4(m) varies it).
@@ -55,11 +55,6 @@ struct PDectOptions : DetectControl {
   size_t min_forward_adjacency = 8;
   /// Owned adjacencies never split below this length.
   size_t min_split_adjacency = 64;
-  /// Seed candidates per work unit (steal/balance granularity).
-  size_t seed_chunk = 256;
-  bool enable_steal = true;    ///< idle workers steal across fragments
-  bool enable_forward = true;  ///< hybrid forward-to-owner at halos
-  bool enable_split = true;    ///< work-unit splitting of hub adjacency
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under

@@ -13,6 +13,11 @@ namespace ngd {
 
 namespace {
 
+// The skew balancer's thresholds (paper §6.3): a processor whose skewness
+// exceeds η sheds half its queue to the processors below η'.
+constexpr double kSkewThreshold = 3.0;     // η
+constexpr double kReceiverThreshold = 0.7;  // η'
+
 class PIncDectEngine {
  public:
   PIncDectEngine(const Graph& g, const NgdSet& sigma,
@@ -24,8 +29,7 @@ class PIncDectEngine {
         p_(std::max(1, opts.num_processors)),
         index_(g, batch),
         nc_(0),
-        pool_(p_, &metrics_, opts.enable_steal && p_ > 1,
-              opts.max_queue_depth),
+        pool_(p_, &metrics_, /*enable_steal=*/false, opts.max_queue_depth),
         run_(p_, sigma.size(), opts) {}
 
   /// Runs on a validated Σ (PIncDect validates before minimizing).
@@ -87,42 +91,26 @@ class PIncDectEngine {
                                          &ngd.X(), &ngd.Y()));
     }
 
-    // Step 3: partition the pivots across BVio_i — fragment-affine when a
-    // matching runtime is supplied (the unit starts where its pivot's
-    // source lives), round-robin otherwise. Both are free initial
-    // placements (seeds are born, not sent).
-    {
-      const FragmentRuntime* rt =
-          opts_.runtime != nullptr && opts_.runtime->num_fragments() == p_
-              ? opts_.runtime
-              : nullptr;
-      size_t i = 0;
-      for (const PivotTask& t : tasks) {
-        const Ngd& ngd = sigma_[t.ngd_index];
-        const EffectiveUpdate& u = index_.updates()[t.update_index];
-        const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
-        PWorkUnit unit;
-        unit.ngd_index = t.ngd_index;
-        unit.pattern_edge = t.pattern_edge;
-        unit.update_index = t.update_index;
-        unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
-        unit.binding[pe.src] = u.edge.src;
-        unit.binding[pe.dst] = u.edge.dst;
-        int target = static_cast<int>(i % p_);
-        // New nodes created by ΔG postdate the partition; they fall back
-        // to round-robin.
-        if (rt != nullptr &&
-            u.edge.src < rt->partition().fragment_of.size()) {
-          target = rt->OwnerOf(u.edge.src);
-        }
-        run_.AddPending(t.ngd_index);
-        pool_.Seed(target, std::move(unit));
-        ++i;
-      }
+    // Step 3: partition the pivots round-robin across BVio_i (a free
+    // initial placement: seeds are born, not sent).
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      const PivotTask& t = tasks[i];
+      const Ngd& ngd = sigma_[t.ngd_index];
+      const EffectiveUpdate& u = index_.updates()[t.update_index];
+      const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
+      PWorkUnit unit;
+      unit.ngd_index = t.ngd_index;
+      unit.pattern_edge = t.pattern_edge;
+      unit.update_index = t.update_index;
+      unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
+      unit.binding[pe.src] = u.edge.src;
+      unit.binding[pe.dst] = u.edge.dst;
+      run_.AddPending(t.ngd_index);
+      pool_.Seed(static_cast<int>(i % p_), std::move(unit));
     }
 
-    // Step 4+5: workers expand (stealing when enabled); the caller thread
-    // runs the skew balancer at its interval via the pool tick.
+    // Step 4+5: workers expand; the caller thread runs the skew balancer
+    // at its interval via the pool tick.
     {
       using namespace std::chrono;
       auto last_balance = steady_clock::now();
@@ -163,11 +151,11 @@ class PIncDectEngine {
     std::vector<double> skew = ComputeSkewness(sizes);
     std::vector<int> receivers;
     for (int i = 0; i < p_; ++i) {
-      if (skew[i] < opts_.receiver_threshold) receivers.push_back(i);
+      if (skew[i] < kReceiverThreshold) receivers.push_back(i);
     }
     if (receivers.empty()) return;
     for (int i = 0; i < p_; ++i) {
-      if (skew[i] <= opts_.skew_threshold) continue;
+      if (skew[i] <= kSkewThreshold) continue;
       std::vector<PWorkUnit> moved = pool_.HarvestFront(i, sizes[i] / 2);
       if (moved.empty()) continue;
       metrics_.balance_moves += moved.size();

@@ -6,10 +6,11 @@
 //   2. Extract the candidate neighborhood N_C(ΔG, Σ) — the union of
 //      d_Σ-balls around pivot endpoints — and "replicate" it at all p
 //      processors (simulated; replication volume is metered).
-//   3. Partition the initial pivots evenly into per-processor workloads
-//      BVio_i. Adjacency lists are logically partitioned: a split work
-//      unit carries the slice [begin, end) of the anchor's adjacency that
-//      the receiving processor owns (its partial copy v.adj_i).
+//   3. Partition the initial pivots round-robin into per-processor
+//      workloads BVio_i. Adjacency lists are logically partitioned: a
+//      split work unit carries the slice [begin, end) of the anchor's
+//      adjacency that the receiving processor owns (its partial copy
+//      v.adj_i).
 //   4. Each processor expands partial solutions through match/'s shared
 //      plan walker, one plan step per work unit (a StepHandoff spawns the
 //      next step as a child unit): candidate filtering with the HYBRID
@@ -64,21 +65,9 @@ struct PIncDectOptions : DetectControl {
   int balance_interval_ms = 45;
   bool enable_split = true;    ///< off = PIncDect_ns
   bool enable_balance = true;  ///< off = PIncDect_nb
-  double skew_threshold = 3.0;      ///< η
-  double receiver_threshold = 0.7;  ///< η'
   /// Adjacency lists shorter than this never split (guard against
   /// degenerate splits of tiny lists).
   size_t min_split_adjacency = 8;
-  /// Idle processors steal work units across queues (off by default: the
-  /// paper's PIncDect balances by skewness only; stealing is the
-  /// fragment-runtime extension, metered separately in `steals`).
-  bool enable_steal = false;
-  /// Optional fragment runtime (parallel/cluster.h): when set and built
-  /// with num_fragments == num_processors, each pivot's initial work unit
-  /// is placed on the processor owning the pivot's source node —
-  /// fragment-affine placement instead of round-robin. N_C stays
-  /// replicated everywhere, so any processor can still run any unit.
-  const FragmentRuntime* runtime = nullptr;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
   /// depth execute inline on the producing worker. 0 disables; initial

@@ -1,8 +1,8 @@
 // FNV-1a 64-bit, the one copy in the tree (ngdlint's fnv-duplicate rule
 // rejects another): the checksum of the binary snapshot sections
-// (NGDSNAP1), the fragment container (NGDFRAG1, with its own seed), the
-// update journal (NGDWAL1) and the violation spill segments (NGDVSEG1),
-// plus the Σ-cache key (FingerprintSigma) and the snapshot fingerprint.
+// (NGDSNAP1), the update journal (NGDWAL1) and the violation spill
+// segments (NGDVSEG1), plus the Σ-cache key (FingerprintSigma) and the
+// snapshot fingerprint.
 // Not cryptographic — it detects torn writes and bit rot, not
 // adversaries.
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "graph/generators.h"
 #include "parallel/partitioner.h"
@@ -136,19 +138,34 @@ TEST(PartitionerTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.crossing_edges, b.crossing_edges);
 }
 
-TEST(PartitionerTest, OverflowFallsBackToLeastLoaded) {
-  // 16 isolated nodes, capacity 2, p = 4: no node has placed neighbors,
-  // so every placement overflows once fragments fill. The fallback must
-  // spread to the least-loaded fragment — {4,4,4,4}, not {10,2,2,2} (the
-  // old code skewed every overflow onto fragment 0).
+TEST(PartitionerTest, EveryFragmentStaysUnderCapacity) {
+  // The automatic capacity |V|/p + 1 always leaves some fragment with
+  // room, so a node is never forced past it: every fragment ends with
+  // fewer than |V|/p + 2 nodes. Covers random graphs, a single-label graph
+  // of isolated nodes (no neighbor score, all label affinity) and more
+  // fragments than nodes.
   SchemaPtr schema = Schema::Create();
-  Graph g(schema);
-  LabelId n = schema->InternLabel("n");
-  for (int i = 0; i < 16; ++i) g.AddNode(n);
-  PartitionOptions opts;
-  opts.capacity = 2;
-  Partition r = PartitionGraph(g, 4, GraphView::kNew, opts);
-  for (size_t s : r.fragment_sizes) EXPECT_EQ(s, 4u);
+  std::vector<std::unique_ptr<Graph>> graphs;
+  for (uint64_t seed : {21u, 22u}) {
+    graphs.push_back(GenerateGraph(SyntheticConfig(250, 700, seed), schema));
+  }
+  auto isolated = std::make_unique<Graph>(schema);
+  for (int i = 0; i < 16; ++i) isolated->AddNode("n");
+  graphs.push_back(std::move(isolated));
+  auto tiny = std::make_unique<Graph>(schema);
+  for (int i = 0; i < 3; ++i) tiny->AddNode("n");
+  graphs.push_back(std::move(tiny));
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = *graphs[gi];
+    for (int p = 1; p <= 8; ++p) {
+      Partition r = PartitionGraph(g, p);
+      const double bound = static_cast<double>(g.NumNodes()) / p + 2.0;
+      for (int f = 0; f < p; ++f) {
+        EXPECT_LT(static_cast<double>(r.fragment_sizes[f]), bound)
+            << "graph " << gi << " p " << p << " fragment " << f;
+      }
+    }
+  }
 }
 
 TEST(PartitionerTest, RespectsGraphView) {

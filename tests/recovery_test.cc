@@ -263,8 +263,7 @@ TEST(RecoveryTest, KillAtEveryFailpointConvergesToTheOracle) {
 // individually armable, surface its injected failure as a Status, and
 // leave state recovery can converge from. ngdlint enforces that each
 // site string is named by at least one test; this is that test for the
-// durability sites (vioseg_write lives in vio_stream_test, and
-// fragment_write in fragment_dect_test).
+// durability sites (vioseg_write lives in vio_stream_test).
 TEST(RecoveryTest, EveryDurabilitySiteFiresAndRecovers) {
   const std::string snap_path = TestPath("recovery_site.ngds");
   const std::string wal_path = TestPath("recovery_site.wal");
