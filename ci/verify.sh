@@ -4,8 +4,8 @@
 #   1. Release (-DNDEBUG): the guards that must survive assert() removal,
 #      plus ngdlint over the tree.
 #   2. Debug + ASan/UBSan: memory and signed-overflow regressions.
-#   3. Debug + TSan: data races in the parallel, recovery and spill
-#      suites (TSan cannot share a build with ASan).
+#   3. Debug + TSan: data races in the parallel, recovery, spill and
+#      graph suites (TSan cannot share a build with ASan).
 #
 # Usage: ci/verify.sh [build-dir-prefix]
 set -euo pipefail
@@ -50,7 +50,7 @@ echo "==== ngdlint ===="
     -DNGD_BUILD_EXAMPLES=OFF
   echo "==== [tsan] ctest ===="
   ctest --test-dir "${prefix}-tsan" --output-on-failure -j "${jobs}" \
-    -L "parallel|recovery|spill"
+    -L "parallel|recovery|spill|graph"
 )
 
 echo "==== tier-1 verification passed ===="

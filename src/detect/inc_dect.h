@@ -177,9 +177,11 @@ struct IncDectOptions : DetectControl {
   ///             an owned base-snapshot build.
   SnapshotMode snapshot_mode = SnapshotMode::kAuto;
   /// Optional pre-built snapshot of the base graph G — GraphView::kOld of
-  /// `g`, or a snapshot taken before the batch was applied. Production
-  /// keeps one per commit epoch and reuses it across batches, so the
-  /// incremental path never rebuilds CSR state per call.
+  /// `g`, or a snapshot taken before the batch was applied. When null the
+  /// engine takes GraphSnapshot(g, kOld) itself, which shares g's
+  /// committed CSR (graph/snapshot.h): O(1) when it is current, else a
+  /// refresh of the nodes the last Commit touched. Passing one saves
+  /// only that refresh.
   const GraphSnapshot* base_snapshot = nullptr;
   /// Enable the AffectedArea prefilter + per-rule search scope. Off
   /// reproduces the pre-prefilter engine exactly (the oracle config).

@@ -4,8 +4,9 @@
 // its searches live in the d_Σ-neighborhood of ΔG — far too little work to
 // amortize rebuilding a CSR snapshot per batch. A DeltaView keeps the CSR
 // layout on the hot path anyway by overlaying the batch on a snapshot of
-// the base graph G (the kOld view, built once per commit epoch and reused
-// across batches):
+// the base graph G (the kOld view). That snapshot shares the Graph's
+// committed CSR, which a Commit refreshes only for the nodes ΔG touched
+// (graph/snapshot.h), so taking it costs O(1) within an epoch:
 //
 //   kOld — the base snapshot verbatim. Inserted edges are absent from the
 //          base by construction; deleted edges are base edges, still

@@ -3,11 +3,40 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/snapshot.h"
+
 namespace ngd {
 
 const std::vector<NodeId> Graph::kEmptyNodeList;
 
+Graph::CsrCache::CsrCache() : state(std::make_unique<CommittedCsr>()) {}
+
+Graph::CsrCache::~CsrCache() = default;
+
+Graph::CsrCache& Graph::CsrCache::operator=(const CsrCache&) {
+  MutexLock lock(&mu);
+  *state = CommittedCsr();
+  covered.store(0, std::memory_order_relaxed);
+  return *this;
+}
+
 Graph::Graph(SchemaPtr schema) : schema_(std::move(schema)) {}
+
+void Graph::MarkCsrDirty(NodeId src, NodeId dst) {
+  const size_t covered = csr_.covered.load(std::memory_order_relaxed);
+  if (src >= covered && dst >= covered) return;
+  MutexLock lock(&csr_.mu);
+  CommittedCsr& csr = *csr_.state;
+  // A list longer than the CSR's node count gains nothing over a full
+  // rebuild; dropping it keeps the list O(|V|) under long AddEdge runs.
+  if (csr.dirty.size() + 2 > covered) {
+    csr.stale = true;
+    csr.dirty.clear();
+    return;
+  }
+  if (src < covered) csr.dirty.push_back(src);
+  if (dst < covered) csr.dirty.push_back(dst);
+}
 
 NodeId Graph::AddNode(LabelId label) {
   NodeId id = static_cast<NodeId>(nodes_.size());
@@ -32,6 +61,12 @@ void Graph::SetAttr(NodeId v, AttrId attr, Value value) {
     it->second = std::move(value);
   } else {
     attrs.insert(it, {attr, std::move(value)});
+  }
+  // The committed CSR copies attribute tuples; it refreshes adjacency
+  // only, so a covered node's new value needs a full rebuild.
+  if (v < csr_.covered.load(std::memory_order_relaxed)) {
+    MutexLock lock(&csr_.mu);
+    csr_.state->stale = true;
   }
 }
 
@@ -60,6 +95,7 @@ Status Graph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   out_[src].push_back({dst, label, EdgeState::kBase});
   in_[dst].push_back({src, label, EdgeState::kBase});
   ++num_base_edges_;
+  MarkCsrDirty(src, dst);
   return Status::OK();
 }
 
@@ -87,6 +123,7 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::AlreadyExists("edge already exists in current view");
   }
   edge_index_.emplace(key, EdgeState::kInserted);
+  pending_keys_.push_back(key);
   out_[src].push_back({dst, label, EdgeState::kInserted});
   in_[dst].push_back({src, label, EdgeState::kInserted});
   ++num_inserted_edges_;
@@ -109,6 +146,7 @@ Status Graph::DeleteEdge(NodeId src, NodeId dst, LabelId label) {
     return Status::OK();
   }
   it->second = EdgeState::kDeleted;
+  pending_keys_.push_back(key);
   SetEdgeState(src, dst, label, EdgeState::kDeleted);
   --num_base_edges_;
   ++num_deleted_edges_;
@@ -133,11 +171,15 @@ void Graph::SetEdgeState(NodeId src, NodeId dst, LabelId label,
 }
 
 void Graph::RemoveAdjEntries(NodeId src, NodeId dst, LabelId label) {
+  // Swap-pop, then give back capacity once a list fills less than half of
+  // it: update streams grow and shrink the same lists for ever, and a
+  // list that never shrinks keeps its high-water mark.
   auto erase_one = [](std::vector<AdjEntry>& v, NodeId other, LabelId l) {
     for (size_t i = 0; i < v.size(); ++i) {
       if (v[i].other == other && v[i].label == l) {
         v[i] = v.back();
         v.pop_back();
+        if (v.capacity() > 2 * v.size() + 1) v.shrink_to_fit();
         return;
       }
     }
@@ -147,20 +189,19 @@ void Graph::RemoveAdjEntries(NodeId src, NodeId dst, LabelId label) {
 }
 
 void Graph::Commit() {
-  if (pending_updates_ == 0) return;
-  for (auto it = edge_index_.begin(); it != edge_index_.end();) {
+  for (const EdgeKey& k : pending_keys_) {
+    auto it = edge_index_.find(k);
+    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
     if (it->second == EdgeState::kDeleted) {
-      RemoveAdjEntries(it->first.src, it->first.dst, it->first.label);
-      it = edge_index_.erase(it);
+      RemoveAdjEntries(k.src, k.dst, k.label);
+      edge_index_.erase(it);
     } else {
-      if (it->second == EdgeState::kInserted) {
-        SetEdgeState(it->first.src, it->first.dst, it->first.label,
-                     EdgeState::kBase);
-        it->second = EdgeState::kBase;
-      }
-      ++it;
+      SetEdgeState(k.src, k.dst, k.label, EdgeState::kBase);
+      it->second = EdgeState::kBase;
     }
+    MarkCsrDirty(k.src, k.dst);
   }
+  pending_keys_.clear();
   num_base_edges_ += num_inserted_edges_;
   num_inserted_edges_ = 0;
   num_deleted_edges_ = 0;
@@ -168,20 +209,19 @@ void Graph::Commit() {
 }
 
 void Graph::Rollback() {
-  if (pending_updates_ == 0) return;
-  for (auto it = edge_index_.begin(); it != edge_index_.end();) {
+  // The committed edge set is unchanged, so the CSR stays current.
+  for (const EdgeKey& k : pending_keys_) {
+    auto it = edge_index_.find(k);
+    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
     if (it->second == EdgeState::kInserted) {
-      RemoveAdjEntries(it->first.src, it->first.dst, it->first.label);
-      it = edge_index_.erase(it);
+      RemoveAdjEntries(k.src, k.dst, k.label);
+      edge_index_.erase(it);
     } else {
-      if (it->second == EdgeState::kDeleted) {
-        SetEdgeState(it->first.src, it->first.dst, it->first.label,
-                     EdgeState::kBase);
-        it->second = EdgeState::kBase;
-      }
-      ++it;
+      SetEdgeState(k.src, k.dst, k.label, EdgeState::kBase);
+      it->second = EdgeState::kBase;
     }
   }
+  pending_keys_.clear();
   num_base_edges_ += num_deleted_edges_;
   num_inserted_edges_ = 0;
   num_deleted_edges_ = 0;

@@ -12,12 +12,20 @@
 //   kInserted  only in kNew (insert(v,v') ∈ ΔG+)
 //   kDeleted   only in kOld (delete(v,v') ∈ ΔG-)
 // Commit() folds the overlay after ΔVio has been computed; Rollback()
-// discards the pending update instead.
+// discards the pending update instead. Both walk only the keys the
+// pending batch touched, so an epoch costs O(|ΔG|), not O(|E|).
+//
+// The Graph also keeps the CSR of its committed edge set (the kOld view),
+// which every full GraphSnapshot of that view shares (graph/snapshot.h).
+// Mutators record which nodes' committed adjacency changed; the next
+// snapshot request refreshes only those.
 
 #ifndef NGD_GRAPH_GRAPH_H_
 #define NGD_GRAPH_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,8 +35,15 @@
 #include "graph/dictionary.h"
 #include "graph/value.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace ngd {
+
+class GraphSnapshot;
+class SnapshotCodec;
+struct CommittedCsr;  // graph/snapshot.h
+struct UpdateBatch;
+struct UpdateGenOptions;
 
 using NodeId = uint32_t;
 inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
@@ -119,9 +134,11 @@ class Graph {
   Status DeleteEdge(NodeId src, NodeId dst, LabelId label);
 
   /// Folds the overlay: inserted edges become base, deleted edges vanish.
+  /// O(|ΔG|): walks only the keys the pending batch changed.
   void Commit();
 
   /// Discards the overlay: inserted edges vanish, deleted edges revert.
+  /// O(|ΔG|), like Commit().
   void Rollback();
 
   /// True if any kInserted/kDeleted edge is pending.
@@ -169,13 +186,23 @@ class Graph {
   std::string DebugString() const;
 
  private:
+  // Shares and refreshes the committed CSR (snapshot.cc).
+  friend class GraphSnapshot;
+  // Size each attribute tuple once where its length is known.
+  friend class SnapshotCodec;
+  friend UpdateBatch GenerateUpdateBatch(Graph* g,
+                                         const UpdateGenOptions& opts);
+
   struct NodeRecord {
     LabelId label;
     std::vector<std::pair<AttrId, Value>> attrs;  // sorted by AttrId
   };
 
+  void ReserveAttrs(NodeId v, size_t n) { nodes_[v].attrs.reserve(n); }
   void SetEdgeState(NodeId src, NodeId dst, LabelId label, EdgeState state);
   void RemoveAdjEntries(NodeId src, NodeId dst, LabelId label);
+  /// Records that the committed adjacency of src and dst changed.
+  void MarkCsrDirty(NodeId src, NodeId dst);
 
   SchemaPtr schema_;
   std::vector<NodeRecord> nodes_;
@@ -187,7 +214,29 @@ class Graph {
   size_t num_inserted_edges_ = 0;
   size_t num_deleted_edges_ = 0;
   size_t pending_updates_ = 0;
+  // Keys the pending batch changed, in order; a key whose change cancelled
+  // out within the batch stays listed, and Commit/Rollback skip it by its
+  // state.
+  std::vector<EdgeKey> pending_keys_;
   static const std::vector<NodeId> kEmptyNodeList;
+
+  // The committed CSR and what changed since it was built. Snapshot
+  // requests run under a const Graph&, possibly from several threads, so
+  // the state sits behind `mu`. `covered` mirrors the number of nodes the
+  // CSR covers, so mutators skip the lock for nodes it does not cover yet
+  // (they are appended wholesale at the next refresh). A copied or
+  // assigned Graph starts without a CSR.
+  struct CsrCache {
+    CsrCache();
+    ~CsrCache();
+    CsrCache(const CsrCache&) : CsrCache() {}
+    CsrCache& operator=(const CsrCache&);
+
+    mutable Mutex mu;
+    const std::unique_ptr<CommittedCsr> state NGD_PT_GUARDED_BY(mu);
+    mutable std::atomic<size_t> covered{0};
+  };
+  CsrCache csr_;
 };
 
 }  // namespace ngd

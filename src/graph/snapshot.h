@@ -16,15 +16,26 @@
 //   - label → node-id candidate arrays in CSR form (C(u) enumeration).
 //
 // The overlay state is resolved at build time, so a snapshot serves
-// exactly one GraphView and stays valid until the source graph mutates.
-// Dect / FindAnyViolation / PDect build one snapshot per call and
-// amortize it across every rule in Σ; incremental detection keeps using
-// the live overlay graph (its searches are update-local).
+// exactly one GraphView. Its arrays live in one refcounted, immutable
+// SnapshotCore, so a snapshot stays valid and unchanged however the
+// source graph mutates afterwards, and copying one is O(1).
+//
+// A Graph keeps the core of its committed edge set (the kOld view). A
+// full snapshot of that set — kOld always, kNew when no batch is pending
+// — shares it instead of building one. After a Commit the first request
+// refreshes it: clean nodes' label groups and neighbor runs are copied
+// from the previous core in bulk, and only the nodes the epoch touched
+// are re-sorted from the live lists (O(|ΔG| log d) plus a linear copy).
+// So Dect, RotateState and IncDect's DeltaView base (graph/delta_view.h)
+// all take the committed CSR in O(1) when it is current. The `include`
+// (fragment) constructor and kNew with a batch pending build their own.
 
 #ifndef NGD_GRAPH_SNAPSHOT_H_
 #define NGD_GRAPH_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,6 +43,56 @@
 #include "graph/neighborhood.h"
 
 namespace ngd {
+
+/// The arrays behind a GraphSnapshot; immutable once a snapshot holds
+/// them.
+struct SnapshotCore {
+  /// One direction of the adjacency: a two-level CSR. Node v owns the
+  /// label groups groups[group_off[v] .. group_off[v+1]), each group a
+  /// (label, begin, end) run into `nbr`, label-ascending per node.
+  struct LabelGroup {
+    LabelId label;
+    uint32_t begin;
+    uint32_t end;
+  };
+  struct Direction {
+    std::vector<NodeId> nbr;
+    std::vector<LabelGroup> groups;
+    std::vector<uint32_t> group_off;  // size NumNodes()+1
+  };
+
+  std::vector<LabelId> node_labels;
+  Direction out;
+  Direction in;
+  std::vector<std::pair<AttrId, Value>> attrs;  // per-node, AttrId-sorted
+  std::vector<uint32_t> attr_off;               // size NumNodes()+1
+  std::vector<NodeId> label_nodes;              // grouped by label
+  std::vector<uint32_t> label_off;              // size num_labels+1
+
+  /// Leases of a committed core that snapshots have dropped (see
+  /// CommittedCsr::leased). The release increment pairs with the
+  /// refresh's acquire load, so every read through a dropped lease
+  /// happens before the refresh writes in place.
+  mutable std::atomic<uint64_t> leases_returned{0};
+};
+
+/// A Graph's committed CSR and what changed since it was built (guarded
+/// by the Graph's csr_.mu).
+struct CommittedCsr {
+  /// nullptr until the first request.
+  std::shared_ptr<SnapshotCore> core;
+  /// Leases of `core` handed to snapshots; all returned means no snapshot
+  /// holds it, and the refresh may write into it.
+  uint64_t leased = 0;
+  /// Nodes `core` covers whose committed adjacency changed since; may
+  /// repeat.
+  std::vector<NodeId> dirty;
+  /// A covered node's attributes changed: the next request rebuilds all.
+  bool stale = false;
+  /// An adjacency buffer no snapshot holds; the refresh writes into it
+  /// and swaps it with the core's, so an epoch allocates nothing O(|G|).
+  SnapshotCore::Direction spare;
+};
 
 class GraphSnapshot {
  public:
@@ -48,7 +109,11 @@ class GraphSnapshot {
     bool empty() const { return count == 0; }
   };
 
-  /// Materializes `view` of `g`. O(|V| + |E| log d) for max degree d.
+  /// `view` of `g`. Shares g's committed core when `view` is the
+  /// committed edge set (kOld, or kNew with nothing pending): O(1) when it
+  /// is current, a refresh of the touched nodes after a Commit, and
+  /// O(|V| + |E| log d) for max degree d on the first request or after
+  /// SetAttr on an existing node. Otherwise a full build.
   GraphSnapshot(const Graph& g, GraphView view);
 
   /// Materializes the subgraph of `view` of `g` induced by `include`,
@@ -66,14 +131,14 @@ class GraphSnapshot {
 
   const SchemaPtr& schema() const { return schema_; }
   GraphView view() const { return view_; }
-  size_t NumNodes() const { return node_labels_.size(); }
-  size_t NumEdges() const { return out_.nbr.size(); }
+  size_t NumNodes() const { return num_nodes_; }
+  size_t NumEdges() const { return num_edges_; }
 
   LabelId NodeLabel(NodeId v) const { return node_labels_[v]; }
   /// Flat per-node label array (NumNodes() entries, indexed by NodeId) —
   /// the raw form the match expander's block candidate filter gathers
   /// from (match/homomorphism.cc).
-  const LabelId* node_labels_data() const { return node_labels_.data(); }
+  const LabelId* node_labels_data() const { return node_labels_; }
 
   /// nullptr when the node does not carry the attribute (paper §3
   /// condition (a)); same contract as Graph::GetAttr.
@@ -115,46 +180,46 @@ class GraphSnapshot {
   friend class SnapshotCodec;
   GraphSnapshot() = default;
 
-  /// One direction of the adjacency: a two-level CSR. Node v owns the
-  /// label groups groups[group_off[v] .. group_off[v+1]), each group a
-  /// (label, begin, end) run into `nbr`, label-ascending per node.
-  struct Direction {
-    std::vector<NodeId> nbr;
-    struct LabelGroup {
-      LabelId label;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<LabelGroup> groups;
-    std::vector<uint32_t> group_off;  // size NumNodes()+1
+  /// Raw views of one SnapshotCore::Direction.
+  struct DirectionView {
+    const NodeId* nbr = nullptr;
+    const SnapshotCore::LabelGroup* groups = nullptr;
+    const uint32_t* group_off = nullptr;
   };
 
-  GraphSnapshot(const Graph& g, GraphView view, const NodeSet* include);
+  /// Holds `core` and points the raw views at its arrays.
+  void Bind(std::shared_ptr<const SnapshotCore> core);
+  /// g's committed core, refreshed first if g changed since it was built.
+  static std::shared_ptr<const SnapshotCore> CommittedCore(const Graph& g);
 
   template <typename Fn>
-  void ForEachEdge(const Direction& d, NodeId v, Fn&& fn) const {
+  void ForEachEdge(const DirectionView& d, NodeId v, Fn&& fn) const {
     for (uint32_t gi = d.group_off[v]; gi < d.group_off[v + 1]; ++gi) {
-      const Direction::LabelGroup& group = d.groups[gi];
+      const SnapshotCore::LabelGroup& group = d.groups[gi];
       for (uint32_t i = group.begin; i < group.end; ++i) {
         fn(group.label, d.nbr[i]);
       }
     }
   }
 
-  static size_t TotalDegree(const Direction& d, NodeId v);
-  IdRange FindRange(const Direction& d, NodeId v, LabelId label) const;
-  static void Build(const Graph& g, GraphView view, bool out,
-                    const NodeSet* include, Direction* d);
+  static size_t TotalDegree(const DirectionView& d, NodeId v);
+  static IdRange FindRange(const DirectionView& d, NodeId v, LabelId label);
 
   SchemaPtr schema_;
-  GraphView view_;
-  std::vector<LabelId> node_labels_;
-  Direction out_;
-  Direction in_;
-  std::vector<std::pair<AttrId, Value>> attrs_;  // per-node, AttrId-sorted
-  std::vector<uint32_t> attr_off_;               // size NumNodes()+1
-  std::vector<NodeId> label_nodes_;              // grouped by label
-  std::vector<uint32_t> label_off_;              // size num_labels+1
+  GraphView view_ = GraphView::kNew;
+  std::shared_ptr<const SnapshotCore> core_;
+  // Raw views of core_'s arrays. The accessors read through these, one
+  // load from `this` like the vectors a snapshot once owned.
+  size_t num_nodes_ = 0;
+  size_t num_edges_ = 0;
+  size_t num_label_offs_ = 0;
+  const LabelId* node_labels_ = nullptr;
+  DirectionView out_;
+  DirectionView in_;
+  const std::pair<AttrId, Value>* attrs_ = nullptr;
+  const uint32_t* attr_off_ = nullptr;
+  const NodeId* label_nodes_ = nullptr;
+  const uint32_t* label_off_ = nullptr;
 };
 
 }  // namespace ngd

@@ -147,7 +147,7 @@ class SnapshotCodec {
   static uint64_t Fingerprint(const GraphSnapshot& snap);
 
  private:
-  using LabelGroup = GraphSnapshot::Direction::LabelGroup;
+  using LabelGroup = SnapshotCore::LabelGroup;
   static_assert(sizeof(LabelGroup) == 12 &&
                     std::is_trivially_copyable<LabelGroup>::value,
                 "LabelGroup is memcpy-serialized");
@@ -157,7 +157,8 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
   if (!HostIsLittleEndian()) {
     return Status::Unimplemented("snapshot format is little-endian only");
   }
-  const size_t num_attrs = snap.attrs_.size();
+  const SnapshotCore& c = *snap.core_;
+  const size_t num_attrs = c.attrs.size();
   std::vector<uint32_t> attr_keys;
   std::vector<uint8_t> attr_tags;
   std::vector<int64_t> attr_vals;
@@ -166,7 +167,7 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
   attr_keys.reserve(num_attrs);
   attr_tags.reserve(num_attrs);
   attr_vals.reserve(num_attrs);
-  for (const auto& [attr, val] : snap.attrs_) {
+  for (const auto& [attr, val] : c.attrs) {
     attr_keys.push_back(attr);
     if (val.is_int()) {
       attr_tags.push_back(0);
@@ -195,29 +196,29 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
     const void* data;
   };
   const SectionSpec specs[kSectionCount] = {
-      {kNodeLabels, sizeof(LabelId), snap.node_labels_.size(),
-       snap.node_labels_.data()},
-      {kOutNbr, sizeof(NodeId), snap.out_.nbr.size(), snap.out_.nbr.data()},
-      {kOutGroups, sizeof(LabelGroup), snap.out_.groups.size(),
-       snap.out_.groups.data()},
-      {kOutGroupOff, sizeof(uint32_t), snap.out_.group_off.size(),
-       snap.out_.group_off.data()},
-      {kInNbr, sizeof(NodeId), snap.in_.nbr.size(), snap.in_.nbr.data()},
-      {kInGroups, sizeof(LabelGroup), snap.in_.groups.size(),
-       snap.in_.groups.data()},
-      {kInGroupOff, sizeof(uint32_t), snap.in_.group_off.size(),
-       snap.in_.group_off.data()},
-      {kAttrOff, sizeof(uint32_t), snap.attr_off_.size(),
-       snap.attr_off_.data()},
+      {kNodeLabels, sizeof(LabelId), c.node_labels.size(),
+       c.node_labels.data()},
+      {kOutNbr, sizeof(NodeId), c.out.nbr.size(), c.out.nbr.data()},
+      {kOutGroups, sizeof(LabelGroup), c.out.groups.size(),
+       c.out.groups.data()},
+      {kOutGroupOff, sizeof(uint32_t), c.out.group_off.size(),
+       c.out.group_off.data()},
+      {kInNbr, sizeof(NodeId), c.in.nbr.size(), c.in.nbr.data()},
+      {kInGroups, sizeof(LabelGroup), c.in.groups.size(),
+       c.in.groups.data()},
+      {kInGroupOff, sizeof(uint32_t), c.in.group_off.size(),
+       c.in.group_off.data()},
+      {kAttrOff, sizeof(uint32_t), c.attr_off.size(),
+       c.attr_off.data()},
       {kAttrKeys, sizeof(uint32_t), attr_keys.size(), attr_keys.data()},
       {kAttrTags, sizeof(uint8_t), attr_tags.size(), attr_tags.data()},
       {kAttrVals, sizeof(int64_t), attr_vals.size(), attr_vals.data()},
       {kStrOff, sizeof(uint32_t), str_off.size(), str_off.data()},
       {kStrBytes, 1, str_bytes.size(), str_bytes.data()},
-      {kLabelNodes, sizeof(NodeId), snap.label_nodes_.size(),
-       snap.label_nodes_.data()},
-      {kLabelOff, sizeof(uint32_t), snap.label_off_.size(),
-       snap.label_off_.data()},
+      {kLabelNodes, sizeof(NodeId), c.label_nodes.size(),
+       c.label_nodes.data()},
+      {kLabelOff, sizeof(uint32_t), c.label_off.size(),
+       c.label_off.data()},
       {kLabelDictOff, sizeof(uint32_t), label_dict_off.size(),
        label_dict_off.data()},
       {kLabelDictBytes, 1, label_dict_bytes.size(), label_dict_bytes.data()},
@@ -352,27 +353,28 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
   std::unique_ptr<GraphSnapshot> snap(new GraphSnapshot());
   snap->schema_ = schema;
   snap->view_ = static_cast<GraphView>(header.view);
+  auto core = std::make_shared<SnapshotCore>();
   std::vector<uint32_t> attr_keys;
   std::vector<uint8_t> attr_tags;
   std::vector<int64_t> attr_vals;
   std::vector<uint32_t> str_off, label_dict_off, attr_dict_off;
   std::string str_bytes, label_dict_bytes, attr_dict_bytes;
 
-  NGD_COPY_SECTION(kNodeLabels, snap->node_labels_);
-  NGD_COPY_SECTION(kOutNbr, snap->out_.nbr);
-  NGD_COPY_SECTION(kOutGroups, snap->out_.groups);
-  NGD_COPY_SECTION(kOutGroupOff, snap->out_.group_off);
-  NGD_COPY_SECTION(kInNbr, snap->in_.nbr);
-  NGD_COPY_SECTION(kInGroups, snap->in_.groups);
-  NGD_COPY_SECTION(kInGroupOff, snap->in_.group_off);
-  NGD_COPY_SECTION(kAttrOff, snap->attr_off_);
+  NGD_COPY_SECTION(kNodeLabels, core->node_labels);
+  NGD_COPY_SECTION(kOutNbr, core->out.nbr);
+  NGD_COPY_SECTION(kOutGroups, core->out.groups);
+  NGD_COPY_SECTION(kOutGroupOff, core->out.group_off);
+  NGD_COPY_SECTION(kInNbr, core->in.nbr);
+  NGD_COPY_SECTION(kInGroups, core->in.groups);
+  NGD_COPY_SECTION(kInGroupOff, core->in.group_off);
+  NGD_COPY_SECTION(kAttrOff, core->attr_off);
   NGD_COPY_SECTION(kAttrKeys, attr_keys);
   NGD_COPY_SECTION(kAttrTags, attr_tags);
   NGD_COPY_SECTION(kAttrVals, attr_vals);
   NGD_COPY_SECTION(kStrOff, str_off);
   NGD_COPY_SECTION(kStrBytes, str_bytes);
-  NGD_COPY_SECTION(kLabelNodes, snap->label_nodes_);
-  NGD_COPY_SECTION(kLabelOff, snap->label_off_);
+  NGD_COPY_SECTION(kLabelNodes, core->label_nodes);
+  NGD_COPY_SECTION(kLabelOff, core->label_off);
   NGD_COPY_SECTION(kLabelDictOff, label_dict_off);
   NGD_COPY_SECTION(kLabelDictBytes, label_dict_bytes);
   NGD_COPY_SECTION(kAttrDictOff, attr_dict_off);
@@ -399,15 +401,15 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
   const size_t num_attr_names = attr_names.size();
 
   // ---- Structural invariants the matching engine relies on ----------------
-  const size_t n = snap->node_labels_.size();
+  const size_t n = core->node_labels.size();
   auto corrupt = [](const char* what) {
     return Status::Corruption(std::string("snapshot invariant violated: ") +
                               what);
   };
-  for (LabelId l : snap->node_labels_) {
+  for (LabelId l : core->node_labels) {
     if (l >= num_labels) return corrupt("node label id out of range");
   }
-  auto check_direction = [&](const GraphSnapshot::Direction& d) -> Status {
+  auto check_direction = [&](const SnapshotCore::Direction& d) -> Status {
     if (d.group_off.size() != n + 1) {
       return corrupt("group offset array has wrong length");
     }
@@ -454,9 +456,9 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     }
     return Status::OK();
   };
-  NGD_RETURN_IF_ERROR(check_direction(snap->out_));
-  NGD_RETURN_IF_ERROR(check_direction(snap->in_));
-  if (snap->out_.nbr.size() != snap->in_.nbr.size()) {
+  NGD_RETURN_IF_ERROR(check_direction(core->out));
+  NGD_RETURN_IF_ERROR(check_direction(core->in));
+  if (core->out.nbr.size() != core->in.nbr.size()) {
     return corrupt("out/in edge counts disagree");
   }
   // in_ must be the exact transpose of out_. The canonical per-direction
@@ -480,18 +482,18 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     uint64_t in_hash = 0;
     for (size_t v = 0; v < n; ++v) {
       const NodeId node = static_cast<NodeId>(v);
-      for (uint32_t gi = snap->out_.group_off[v];
-           gi < snap->out_.group_off[v + 1]; ++gi) {
-        const LabelGroup& group = snap->out_.groups[gi];
+      for (uint32_t gi = core->out.group_off[v];
+           gi < core->out.group_off[v + 1]; ++gi) {
+        const LabelGroup& group = core->out.groups[gi];
         for (uint32_t i = group.begin; i < group.end; ++i) {
-          out_hash += mix_triple(node, group.label, snap->out_.nbr[i]);
+          out_hash += mix_triple(node, group.label, core->out.nbr[i]);
         }
       }
-      for (uint32_t gi = snap->in_.group_off[v];
-           gi < snap->in_.group_off[v + 1]; ++gi) {
-        const LabelGroup& group = snap->in_.groups[gi];
+      for (uint32_t gi = core->in.group_off[v];
+           gi < core->in.group_off[v + 1]; ++gi) {
+        const LabelGroup& group = core->in.groups[gi];
         for (uint32_t i = group.begin; i < group.end; ++i) {
-          in_hash += mix_triple(snap->in_.nbr[i], group.label, node);
+          in_hash += mix_triple(core->in.nbr[i], group.label, node);
         }
       }
     }
@@ -501,8 +503,8 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     }
   }
 
-  if (snap->attr_off_.size() != n + 1 || snap->attr_off_[0] != 0 ||
-      snap->attr_off_[n] != attr_keys.size()) {
+  if (core->attr_off.size() != n + 1 || core->attr_off[0] != 0 ||
+      core->attr_off[n] != attr_keys.size()) {
     return corrupt("attribute offsets malformed");
   }
   if (attr_tags.size() != attr_keys.size() ||
@@ -519,27 +521,27 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     }
   }
   const size_t num_strings = str_off.size() - 1;
-  snap->attrs_.reserve(attr_keys.size());
+  core->attrs.reserve(attr_keys.size());
   for (size_t v = 0; v < n; ++v) {
-    if (snap->attr_off_[v] > snap->attr_off_[v + 1] ||
-        snap->attr_off_[v + 1] > attr_keys.size()) {
+    if (core->attr_off[v] > core->attr_off[v + 1] ||
+        core->attr_off[v + 1] > attr_keys.size()) {
       return corrupt("attribute offsets decrease or overrun the arrays");
     }
-    for (uint32_t i = snap->attr_off_[v]; i < snap->attr_off_[v + 1]; ++i) {
+    for (uint32_t i = core->attr_off[v]; i < core->attr_off[v + 1]; ++i) {
       if (attr_keys[i] >= num_attr_names) {
         return corrupt("attribute id out of range");
       }
-      if (i > snap->attr_off_[v] && attr_keys[i] <= attr_keys[i - 1]) {
+      if (i > core->attr_off[v] && attr_keys[i] <= attr_keys[i - 1]) {
         return corrupt("attribute tuple not AttrId-sorted");
       }
       if (attr_tags[i] == 0) {
-        snap->attrs_.emplace_back(attr_keys[i], Value(attr_vals[i]));
+        core->attrs.emplace_back(attr_keys[i], Value(attr_vals[i]));
       } else if (attr_tags[i] == 1) {
         const uint64_t s = static_cast<uint64_t>(attr_vals[i]);
         if (attr_vals[i] < 0 || s >= num_strings) {
           return corrupt("string attribute index out of range");
         }
-        snap->attrs_.emplace_back(
+        core->attrs.emplace_back(
             attr_keys[i],
             Value(str_bytes.substr(str_off[s], str_off[s + 1] - str_off[s])));
       } else {
@@ -548,23 +550,23 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
     }
   }
 
-  if (snap->label_off_.size() != num_labels + 1 || snap->label_off_[0] != 0 ||
-      snap->label_off_[num_labels] != snap->label_nodes_.size() ||
-      snap->label_nodes_.size() != n) {
+  if (core->label_off.size() != num_labels + 1 || core->label_off[0] != 0 ||
+      core->label_off[num_labels] != core->label_nodes.size() ||
+      core->label_nodes.size() != n) {
     return corrupt("label candidate arrays malformed");
   }
   for (size_t l = 0; l < num_labels; ++l) {
-    if (snap->label_off_[l] > snap->label_off_[l + 1] ||
-        snap->label_off_[l + 1] > snap->label_nodes_.size()) {
+    if (core->label_off[l] > core->label_off[l + 1] ||
+        core->label_off[l + 1] > core->label_nodes.size()) {
       return corrupt("label candidate offsets decrease or overrun");
     }
-    for (uint32_t i = snap->label_off_[l]; i < snap->label_off_[l + 1]; ++i) {
-      const NodeId v = snap->label_nodes_[i];
-      if (v >= n || snap->node_labels_[v] != l) {
+    for (uint32_t i = core->label_off[l]; i < core->label_off[l + 1]; ++i) {
+      const NodeId v = core->label_nodes[i];
+      if (v >= n || core->node_labels[v] != l) {
         return corrupt("label candidate array disagrees with node labels");
       }
-      if (i > snap->label_off_[l] &&
-          snap->label_nodes_[i] <= snap->label_nodes_[i - 1]) {
+      if (i > core->label_off[l] &&
+          core->label_nodes[i] <= core->label_nodes[i - 1]) {
         return corrupt("label candidates not strictly ascending");
       }
     }
@@ -578,27 +580,30 @@ StatusOr<std::unique_ptr<GraphSnapshot>> SnapshotCodec::Deserialize(
   for (const std::string_view& name : attr_names) {
     schema->InternAttr(name);
   }
+  snap->Bind(std::move(core));
   return snap;
 }
 
 StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
     const GraphSnapshot& snap) {
+  const SnapshotCore& c = *snap.core_;
   auto g = std::make_unique<Graph>(snap.schema_);
   const size_t n = snap.NumNodes();
   for (size_t v = 0; v < n; ++v) {
-    g->AddNode(snap.node_labels_[v]);
+    g->AddNode(c.node_labels[v]);
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (uint32_t i = snap.attr_off_[v]; i < snap.attr_off_[v + 1]; ++i) {
-      g->SetAttr(v, snap.attrs_[i].first, snap.attrs_[i].second);
+    g->ReserveAttrs(v, c.attr_off[v + 1] - c.attr_off[v]);
+    for (uint32_t i = c.attr_off[v]; i < c.attr_off[v + 1]; ++i) {
+      g->SetAttr(v, c.attrs[i].first, c.attrs[i].second);
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (uint32_t gi = snap.out_.group_off[v]; gi < snap.out_.group_off[v + 1];
+    for (uint32_t gi = c.out.group_off[v]; gi < c.out.group_off[v + 1];
          ++gi) {
-      const auto& group = snap.out_.groups[gi];
+      const auto& group = c.out.groups[gi];
       for (uint32_t i = group.begin; i < group.end; ++i) {
-        Status s = g->AddEdge(v, snap.out_.nbr[i], group.label);
+        Status s = g->AddEdge(v, c.out.nbr[i], group.label);
         if (!s.ok()) {
           return Status::Internal("snapshot materialization: " +
                                   s.ToString());
@@ -610,14 +615,15 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
 }
 
 uint64_t SnapshotCodec::Fingerprint(const GraphSnapshot& snap) {
+  const SnapshotCore& c = *snap.core_;
   const size_t n = snap.NumNodes();
   uint64_t h = Fnv1a64(&n, sizeof(n));
   if (n > 0) {
-    h = Fnv1a64(snap.node_labels_.data(), n * sizeof(LabelId), h);
+    h = Fnv1a64(c.node_labels.data(), n * sizeof(LabelId), h);
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (uint32_t i = snap.attr_off_[v]; i < snap.attr_off_[v + 1]; ++i) {
-      const auto& [attr, val] = snap.attrs_[i];
+    for (uint32_t i = c.attr_off[v]; i < c.attr_off[v + 1]; ++i) {
+      const auto& [attr, val] = c.attrs[i];
       h = Fnv1a64(&attr, sizeof(attr), h);
       if (val.is_int()) {
         const int64_t x = val.AsInt();
@@ -629,13 +635,13 @@ uint64_t SnapshotCodec::Fingerprint(const GraphSnapshot& snap) {
         h = Fnv1a64("\0", 1, h);
       }
     }
-    for (uint32_t gi = snap.out_.group_off[v]; gi < snap.out_.group_off[v + 1];
+    for (uint32_t gi = c.out.group_off[v]; gi < c.out.group_off[v + 1];
          ++gi) {
-      const auto& group = snap.out_.groups[gi];
+      const auto& group = c.out.groups[gi];
       h = Fnv1a64(&group.label, sizeof(group.label), h);
       const uint32_t count = group.end - group.begin;
       h = Fnv1a64(&count, sizeof(count), h);
-      h = Fnv1a64(snap.out_.nbr.data() + group.begin, count * sizeof(NodeId),
+      h = Fnv1a64(c.out.nbr.data() + group.begin, count * sizeof(NodeId),
                   h);
     }
   }

@@ -91,6 +91,7 @@ UpdateBatch GenerateUpdateBatch(Graph* g, const UpdateGenOptions& opts) {
       // Fresh node cloning the moved endpoint's label and attribute shape,
       // with jittered integer values.
       replacement = g->AddNode(g->NodeLabel(moved));
+      g->ReserveAttrs(replacement, g->Attrs(moved).size());
       for (const auto& [attr, val] : g->Attrs(moved)) {
         if (val.is_int()) {
           int64_t jitter = rng.UniformInt(-10, 10);

@@ -20,15 +20,25 @@
 // Case count: 1000 per engine combination by default (the acceptance
 // floor); NGD_DIFF_CASES overrides (sanitizer CI uses a smaller sweep,
 // release CI and local runs the full one).
+//
+// A second family runs one graph through many epochs, so the DeltaView
+// engines read a base the Graph refreshed from its previous committed CSR
+// rather than one built from scratch. NGD_DIFF_CASES / 50 streams run
+// (at least one); NGD_DIFF_SEED=<seed> replays one stream as well.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
+#include "graph/graph_io.h"
+#include "graph/snapshot.h"
+#include "graph/snapshot_io.h"
 #include "parallel/pinc_dect.h"
 #include "test_util.h"
 
@@ -213,6 +223,110 @@ TEST(IncDectDifferentialTest, AllEngineCombinationsAgreeWithBatchDect) {
   // effective updates and a healthy share produce a non-empty ΔVio.
   EXPECT_GT(with_updates, cases * 7 / 10);
   EXPECT_GT(with_delta, cases / 10);
+}
+
+/// One graph through kEpochs update epochs. Each epoch checks the
+/// DeltaView engines, which build their base from the Graph's committed
+/// CSR (no base_snapshot), against the live oracle, then commits — or
+/// rolls back every 7th epoch. Every 5th epoch a kOld snapshot is held
+/// across the Commit and the next epoch's refresh (the copy-on-write
+/// path) and must not change.
+void RunStream(uint64_t seed) {
+  constexpr int kEpochs = 24;
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
+  testing_util::RandomWorkload w =
+      testing_util::MakeRandomWorkload(seed + 7000, &rng);
+  std::unique_ptr<Graph>& g = w.graph;
+  NgdSet& sigma = w.sigma;
+  if (sigma.empty() || !ValidateForIncremental(sigma).ok()) return;
+  const int processors = static_cast<int>(rng.UniformInt(2, 4));
+
+  DectOptions live;
+  live.snapshot_mode = SnapshotMode::kNever;
+  VioSet maintained = Dect(*g, sigma, live);
+  std::unique_ptr<GraphSnapshot> held;
+  uint64_t held_fingerprint = 0;
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    const std::string repro = "repro: NGD_DIFF_SEED=" + std::to_string(seed) +
+                              " stream epoch " + std::to_string(epoch);
+    UpdateGenOptions up;
+    // Small batches, so most refreshes stay under the full-build fallback.
+    up.fraction = 0.04;
+    up.insert_fraction = 0.5;
+    up.new_node_prob = 0.2;
+    up.seed = seed * 1000 + static_cast<uint64_t>(epoch);
+    UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
+    ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok()) << repro;
+
+    IncDectOptions oracle_opts;
+    oracle_opts.snapshot_mode = SnapshotMode::kNever;
+    oracle_opts.affected_area_prefilter = false;
+    auto oracle = IncDect(*g, sigma, batch, oracle_opts);
+    ASSERT_TRUE(oracle.ok()) << repro << ": " << oracle.status().ToString();
+    {
+      IncDectOptions o;
+      o.snapshot_mode = SnapshotMode::kAlways;
+      auto d = IncDect(*g, sigma, batch, o);
+      ASSERT_TRUE(d.ok()) << repro;
+      ExpectSameVioSet(oracle->added, d->added, sigma,
+                       "stream delta-view IncDect ΔVio+", repro);
+      ExpectSameVioSet(oracle->removed, d->removed, sigma,
+                       "stream delta-view IncDect ΔVio-", repro);
+    }
+    {
+      PIncDectOptions o;
+      o.num_processors = processors;
+      o.snapshot_mode = SnapshotMode::kAlways;
+      auto d = PIncDect(*g, sigma, batch, o);
+      ASSERT_TRUE(d.ok()) << repro;
+      ExpectSameVioSet(oracle->added, d->delta.added, sigma,
+                       "stream delta-view PIncDect ΔVio+", repro);
+      ExpectSameVioSet(oracle->removed, d->delta.removed, sigma,
+                       "stream delta-view PIncDect ΔVio-", repro);
+    }
+    if (held != nullptr) {
+      EXPECT_EQ(SnapshotFingerprint(*held), held_fingerprint) << repro;
+      held.reset();
+    }
+    if (epoch % 5 == 0) {
+      held = std::make_unique<GraphSnapshot>(*g, GraphView::kOld);
+      held_fingerprint = SnapshotFingerprint(*held);
+    }
+    if (epoch % 7 == 0) {
+      g->Rollback();
+    } else {
+      g->Commit();
+      maintained = ApplyDelta(maintained, *oracle);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  ExpectSameVioSet(Dect(*g, sigma, live), maintained, sigma,
+                   "stream maintained Vio vs batch Dect", "seed " +
+                   std::to_string(seed));
+
+  // The refreshed committed CSR equals a fresh build of the same graph.
+  std::ostringstream tsv;
+  ASSERT_TRUE(WriteGraphText(*g, &tsv).ok());
+  auto reloaded = ParseGraphText(tsv.str(), g->schema());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(SnapshotFingerprint(GraphSnapshot(*g, GraphView::kNew)),
+            SnapshotFingerprint(GraphSnapshot(**reloaded, GraphView::kNew)))
+      << "seed " << seed;
+}
+
+TEST(IncDectDifferentialTest, MultiEpochStreamsAgreeWithLiveOracle) {
+  const char* pinned = std::getenv("NGD_DIFF_SEED");
+  if (pinned != nullptr) {
+    RunStream(static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
+    return;
+  }
+  const size_t streams = std::max<size_t>(1, CaseCount() / 50);
+  for (uint64_t seed = 1; seed <= streams; ++seed) {
+    RunStream(seed);
+    if (HasFailure()) {
+      FAIL() << "first failing stream: NGD_DIFF_SEED=" << seed;
+    }
+  }
 }
 
 }  // namespace

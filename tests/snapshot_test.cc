@@ -9,10 +9,18 @@
 //      live-graph Dect — the pre-snapshot engine is kept as the oracle
 //      via DectOptions snapshot_mode = kNever. Runs under ASan/UBSan in
 //      the sanitizer CI job like every other suite.
+//   3. The committed CSR a Graph keeps and refreshes per epoch: a seeded
+//      mutation sequence compares every refreshed snapshot with a full
+//      build, snapshots held across mutations must not change, and four
+//      threads race the first request after a Commit (the TSan CI job
+//      runs this suite under the `graph` label).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <sstream>
+#include <thread>
 #include <tuple>
 
 #include "detect/dect.h"
@@ -20,6 +28,7 @@
 #include "graph/accessor.h"
 #include "graph/generators.h"
 #include "graph/snapshot.h"
+#include "graph/snapshot_io.h"
 #include "graph/updates.h"
 #include "parallel/pdect.h"
 #include "test_util.h"
@@ -330,6 +339,235 @@ TEST(SnapshotFixtureTest, PaperRulesAgreeLiveVsSnapshot) {
   EXPECT_EQ(live.size(), 1u);  // the Example 3 violation
   ASSERT_EQ(snap.size(), live.size());
   for (const auto& v : live.items()) EXPECT_TRUE(snap.Contains(v));
+}
+
+// ---- The committed CSR: refresh == full build ------------------------------
+
+/// Every node included: the `include` constructor always builds from the
+/// live lists and never touches the Graph's committed CSR, so it is the
+/// reference for the shared, refreshed one.
+GraphSnapshot FullBuild(const Graph& g, GraphView view) {
+  NodeSet all(g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) all.Add(v);
+  return GraphSnapshot(g, view, all);
+}
+
+void ExpectSameSnapshot(const Graph& g, GraphView view,
+                        const GraphSnapshot& got, const GraphSnapshot& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.NumNodes(), want.NumNodes()) << where;
+  ASSERT_EQ(got.NumEdges(), want.NumEdges()) << where;
+  ASSERT_EQ(got.NumEdges(), g.NumEdges(view)) << where;
+  const size_t num_labels = g.schema()->labels().size();
+  const size_t num_attrs = g.schema()->attrs().size();
+  for (LabelId l = 0; l < num_labels; ++l) {
+    ASSERT_EQ(ToVector(got.NodesWithLabel(l)), ToVector(want.NodesWithLabel(l)))
+        << where << " label " << l;
+  }
+  std::vector<LabelId> edge_labels;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (const AdjEntry& e : g.OutEdges(v)) edge_labels.push_back(e.label);
+  }
+  std::sort(edge_labels.begin(), edge_labels.end());
+  edge_labels.erase(std::unique(edge_labels.begin(), edge_labels.end()),
+                    edge_labels.end());
+  for (NodeId v = 0; v < got.NumNodes(); ++v) {
+    ASSERT_EQ(got.NodeLabel(v), want.NodeLabel(v)) << where << " node " << v;
+    for (LabelId l : edge_labels) {
+      const auto out_got = got.OutNeighbors(v, l);
+      const auto out_want = want.OutNeighbors(v, l);
+      ASSERT_TRUE(std::equal(out_got.begin(), out_got.end(), out_want.begin(),
+                             out_want.end()))
+          << where << " out of " << v << " label " << l;
+      const auto in_got = got.InNeighbors(v, l);
+      const auto in_want = want.InNeighbors(v, l);
+      ASSERT_TRUE(std::equal(in_got.begin(), in_got.end(), in_want.begin(),
+                             in_want.end()))
+          << where << " in of " << v << " label " << l;
+    }
+    for (AttrId a = 0; a < num_attrs; ++a) {
+      const Value* x = got.GetAttr(v, a);
+      const Value* y = want.GetAttr(v, a);
+      ASSERT_EQ(x == nullptr, y == nullptr) << where << " node " << v;
+      if (x != nullptr) {
+        ASSERT_EQ(*x, *y) << where << " node " << v;
+      }
+    }
+    // Every edge the live graph knows in any state, against its view.
+    for (const AdjEntry& e : g.OutEdges(v)) {
+      ASSERT_EQ(got.HasEdge(v, e.other, e.label),
+                g.HasEdge(v, e.other, e.label, view))
+          << where << " edge " << v << "->" << e.other;
+    }
+  }
+  ASSERT_EQ(SnapshotFingerprint(got), SnapshotFingerprint(want)) << where;
+}
+
+/// A random edge visible in `view`, or nullopt when 64 probes find none.
+std::optional<EdgeKey> PickEdge(const Graph& g, GraphView view, Rng* rng) {
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const NodeId v = static_cast<NodeId>(
+        rng->UniformInt(0, static_cast<int64_t>(g.NumNodes()) - 1));
+    const auto& adj = g.OutEdges(v);
+    if (adj.empty()) continue;
+    const AdjEntry& e = adj[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(adj.size()) - 1))];
+    if (EdgeInView(e.state, view)) return EdgeKey{v, e.other, e.label};
+  }
+  return std::nullopt;
+}
+
+TEST(CommittedCsrTest, RefreshEqualsFullBuildUnderRandomMutations) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SchemaPtr schema = Schema::Create();
+    auto g = GenerateGraph(SyntheticConfig(160, 400, seed), schema);
+    const AttrId score = schema->InternAttr("score");
+    const AttrId tag = schema->InternAttr("tag");
+    Rng rng(seed * 7919 + 3);
+    const size_t num_labels = schema->labels().size();
+    auto node = [&] {
+      return static_cast<NodeId>(
+          rng.UniformInt(0, static_cast<int64_t>(g->NumNodes()) - 1));
+    };
+    auto label = [&] {
+      return static_cast<LabelId>(
+          rng.UniformInt(0, static_cast<int64_t>(num_labels) - 1));
+    };
+    // Snapshots held across later mutations, with the fingerprint each
+    // had when it was taken.
+    std::vector<std::pair<GraphSnapshot, uint64_t>> held;
+    std::ostringstream trail;
+    for (int step = 0; step < 300; ++step) {
+      const int op = static_cast<int>(rng.UniformInt(0, 9));
+      switch (op) {
+        case 0: {  // a new node with attributes
+          const NodeId v = g->AddNode(label());
+          g->SetAttr(v, score, Value(rng.UniformInt(0, 99)));
+          trail << " add" << v;
+          break;
+        }
+        case 1: {  // an attribute of a node the CSR already covers
+          const NodeId v = node();
+          g->SetAttr(v, rng.Bernoulli(0.5) ? score : tag,
+                     Value(rng.UniformInt(0, 99)));
+          trail << " attr" << v;
+          break;
+        }
+        case 2: {  // a base edge, straight into the committed set
+          const NodeId a = node(), b = node();
+          if (g->AddEdge(a, b, label()).ok()) trail << " base" << a << "-" << b;
+          break;
+        }
+        case 3:
+        case 4: {  // ΔG+ and ΔG-
+          const NodeId a = node(), b = node();
+          if (g->InsertEdge(a, b, label()).ok()) trail << " ins";
+          if (auto e = PickEdge(*g, GraphView::kNew, &rng)) {
+            if (g->DeleteEdge(e->src, e->dst, e->label).ok()) trail << " del";
+          }
+          break;
+        }
+        case 5: {  // pairs that cancel within the batch
+          const NodeId a = node(), b = node();
+          const LabelId l = label();
+          if (g->InsertEdge(a, b, l).ok()) {
+            EXPECT_TRUE(g->DeleteEdge(a, b, l).ok());
+          }
+          if (auto e = PickEdge(*g, GraphView::kNew, &rng)) {
+            if (g->DeleteEdge(e->src, e->dst, e->label).ok()) {
+              EXPECT_TRUE(g->InsertEdge(e->src, e->dst, e->label).ok());
+            }
+          }
+          trail << " cancel";
+          break;
+        }
+        case 6:
+        case 7:
+          g->Commit();
+          trail << " commit";
+          break;
+        case 8:
+          g->Rollback();
+          trail << " rollback";
+          break;
+        default:  // hold a snapshot across what follows (copy-on-write)
+          if (held.size() < 8) {
+            GraphSnapshot snap(*g, rng.Bernoulli(0.5) ? GraphView::kOld
+                                                      : GraphView::kNew);
+            const uint64_t fp = SnapshotFingerprint(snap);
+            held.emplace_back(std::move(snap), fp);
+          } else {
+            held.erase(held.begin() + rng.UniformInt(0, 7));
+          }
+          trail << " hold";
+          break;
+      }
+      if (rng.Bernoulli(0.6)) {
+        const std::string where = "seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step) + ":" + trail.str();
+        for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
+          const GraphSnapshot got(*g, view);
+          ExpectSameSnapshot(*g, view, got, FullBuild(*g, view),
+                             where + (view == GraphView::kOld ? " (old)"
+                                                              : " (new)"));
+          if (HasFatalFailure()) return;
+        }
+        trail.str("");
+      }
+    }
+    for (const auto& [snap, fp] : held) {
+      EXPECT_EQ(SnapshotFingerprint(snap), fp) << "seed " << seed;
+    }
+  }
+}
+
+// The first snapshot request after a Commit refreshes the committed CSR
+// under a const Graph&; four threads race it and run snapshot Dect.
+TEST(CommittedCsrTest, ConcurrentFirstRequestsAfterCommitAgree) {
+  SchemaPtr schema = Schema::Create();
+  auto g = GenerateGraph(SyntheticConfig(400, 1200, 31), schema);
+  NgdGenOptions gen;
+  gen.count = 6;
+  gen.max_diameter = 2;
+  gen.seed = 32;
+  gen.violation_rate = 0.2;
+  const NgdSet sigma = GenerateNgdSet(*g, gen);
+  ASSERT_GT(sigma.size(), 0u);
+  DectOptions live;
+  live.snapshot_mode = SnapshotMode::kNever;
+  DectOptions snap_opts;
+  snap_opts.snapshot_mode = SnapshotMode::kAlways;
+  { const GraphSnapshot warm(*g, GraphView::kOld); }
+
+  for (uint64_t round = 0; round < 3; ++round) {
+    UpdateGenOptions up;
+    up.fraction = 0.05;
+    up.new_node_prob = 0.1;
+    up.seed = 40 + round;
+    UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
+    ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
+    g->Commit();
+    const Graph& committed = *g;
+    const VioSet want = Dect(committed, sigma, live);
+    const uint64_t want_fp =
+        SnapshotFingerprint(FullBuild(committed, GraphView::kOld));
+    std::vector<VioSet> got(4);
+    std::vector<uint64_t> fps(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        const GraphSnapshot snap(committed, GraphView::kOld);
+        fps[t] = SnapshotFingerprint(snap);
+        got[t] = Dect(committed, sigma, snap_opts);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(fps[t], want_fp) << "round " << round << " thread " << t;
+      ASSERT_EQ(got[t].size(), want.size()) << "round " << round;
+      for (const Violation& v : want.items()) EXPECT_TRUE(got[t].Contains(v));
+    }
+  }
 }
 
 }  // namespace
