@@ -1,36 +1,37 @@
 #include "detect/inc_dect.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace ngd {
 
 UpdateIndex::UpdateIndex(const Graph& g, const UpdateBatch& batch) {
+  insert_index_.Reserve(batch.updates.size());
+  delete_index_.Reserve(batch.updates.size());
   for (const UnitUpdate& u : batch.updates) {
     EdgeKey key{u.src, u.dst, u.label};
     std::optional<EdgeState> state = g.EdgeStateOf(u.src, u.dst, u.label);
     // Only updates whose effect survives in the overlay count: an insert
     // record must correspond to a kInserted edge, a delete record to a
     // kDeleted edge. Anything else cancelled out within the batch.
-    if (u.kind == UpdateKind::kInsert) {
-      if (!state.has_value() || *state != EdgeState::kInserted) continue;
-      if (insert_index_.count(key) > 0) continue;  // duplicate record
-      insert_index_.emplace(key, static_cast<int>(updates_.size()));
-    } else {
-      if (!state.has_value() || *state != EdgeState::kDeleted) continue;
-      if (delete_index_.count(key) > 0) continue;
-      delete_index_.emplace(key, static_cast<int>(updates_.size()));
+    const bool insert = u.kind == UpdateKind::kInsert;
+    if (state != (insert ? EdgeState::kInserted : EdgeState::kDeleted)) {
+      continue;
     }
+    EdgeMap<int>& index = insert ? insert_index_ : delete_index_;
+    const int position = static_cast<int>(updates_.size());
+    if (!index.Insert(key, position).second) continue;  // duplicate record
     updates_.push_back(EffectiveUpdate{u.kind, key});
   }
 }
 
 std::optional<int> UpdateIndex::IndexOf(UpdateKind kind,
                                         const EdgeKey& key) const {
-  const auto& map =
+  const EdgeMap<int>& index =
       kind == UpdateKind::kInsert ? insert_index_ : delete_index_;
-  auto it = map.find(key);
-  if (it == map.end()) return std::nullopt;
-  return it->second;
+  const int* position = index.Find(key);
+  if (position == nullptr) return std::nullopt;
+  return *position;
 }
 
 std::vector<PivotTask> EnumeratePivotTasks(const Graph& g,

@@ -26,7 +26,6 @@
 #define NGD_DETECT_INC_DECT_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "detect/dect.h"
@@ -58,8 +57,8 @@ class UpdateIndex {
 
  private:
   std::vector<EffectiveUpdate> updates_;
-  std::unordered_map<EdgeKey, int, EdgeKeyHash> insert_index_;
-  std::unordered_map<EdgeKey, int, EdgeKeyHash> delete_index_;
+  EdgeMap<int> insert_index_;
+  EdgeMap<int> delete_index_;
 };
 
 /// Rejects update edges with pivot order below the current pivot, so each

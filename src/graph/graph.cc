@@ -87,11 +87,9 @@ Status Graph::AddEdge(NodeId src, NodeId dst, LabelId label) {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  EdgeKey key{src, dst, label};
-  if (edge_index_.count(key) > 0) {
+  if (!edge_index_.Insert(EdgeKey{src, dst, label}, EdgeState::kBase).second) {
     return Status::AlreadyExists("edge already exists");
   }
-  edge_index_.emplace(key, EdgeState::kBase);
   out_[src].push_back({dst, label, EdgeState::kBase});
   in_[dst].push_back({src, label, EdgeState::kBase});
   ++num_base_edges_;
@@ -103,17 +101,45 @@ Status Graph::AddEdge(NodeId src, NodeId dst, std::string_view label_name) {
   return AddEdge(src, dst, schema_->InternLabel(label_name));
 }
 
+Status Graph::AddEdges(const std::vector<EdgeKey>& edges, size_t* failed_at) {
+  // Count each node's new entries per direction and reserve the lists in
+  // node order, so neighbouring nodes' lists sit close together. Edges
+  // with an endpoint out of range are left to AddEdge to reject.
+  const size_t n = nodes_.size();
+  std::vector<uint32_t> degree(n);
+  auto reserve = [&](std::vector<std::vector<AdjEntry>>& lists, bool out) {
+    std::fill(degree.begin(), degree.end(), 0);
+    for (const EdgeKey& e : edges) {
+      if (e.src < n && e.dst < n) ++degree[out ? e.src : e.dst];
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (degree[v] > 0) lists[v].reserve(lists[v].size() + degree[v]);
+    }
+  };
+  reserve(out_, true);
+  reserve(in_, false);
+  edge_index_.Reserve(edge_index_.size() + edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    Status s = AddEdge(edges[i].src, edges[i].dst, edges[i].label);
+    if (!s.ok()) {
+      if (failed_at != nullptr) *failed_at = i;
+      return s;
+    }
+  }
+  return Status::OK();
+}
+
 Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
   EdgeKey key{src, dst, label};
-  auto it = edge_index_.find(key);
-  if (it != edge_index_.end()) {
-    if (it->second == EdgeState::kDeleted) {
+  auto [state, added] = edge_index_.Insert(key, EdgeState::kInserted);
+  if (!added) {
+    if (*state == EdgeState::kDeleted) {
       // Reinsert of a deleted edge: net effect is the edge stays; it is in
       // both views again. Fold to base and drop both pending ops.
-      it->second = EdgeState::kBase;
+      *state = EdgeState::kBase;
       SetEdgeState(src, dst, label, EdgeState::kBase);
       ++num_base_edges_;
       --num_deleted_edges_;
@@ -122,7 +148,6 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
     }
     return Status::AlreadyExists("edge already exists in current view");
   }
-  edge_index_.emplace(key, EdgeState::kInserted);
   pending_keys_.push_back(key);
   out_[src].push_back({dst, label, EdgeState::kInserted});
   in_[dst].push_back({src, label, EdgeState::kInserted});
@@ -133,19 +158,19 @@ Status Graph::InsertEdge(NodeId src, NodeId dst, LabelId label) {
 
 Status Graph::DeleteEdge(NodeId src, NodeId dst, LabelId label) {
   EdgeKey key{src, dst, label};
-  auto it = edge_index_.find(key);
-  if (it == edge_index_.end() || it->second == EdgeState::kDeleted) {
+  EdgeState* state = edge_index_.Find(key);
+  if (state == nullptr || *state == EdgeState::kDeleted) {
     return Status::NotFound("edge not present in G ⊕ ΔG");
   }
-  if (it->second == EdgeState::kInserted) {
+  if (*state == EdgeState::kInserted) {
     // Deleting a pending insertion cancels it.
-    edge_index_.erase(it);
+    edge_index_.Erase(key);
     RemoveAdjEntries(src, dst, label);
     --num_inserted_edges_;
     --pending_updates_;
     return Status::OK();
   }
-  it->second = EdgeState::kDeleted;
+  *state = EdgeState::kDeleted;
   pending_keys_.push_back(key);
   SetEdgeState(src, dst, label, EdgeState::kDeleted);
   --num_base_edges_;
@@ -190,14 +215,14 @@ void Graph::RemoveAdjEntries(NodeId src, NodeId dst, LabelId label) {
 
 void Graph::Commit() {
   for (const EdgeKey& k : pending_keys_) {
-    auto it = edge_index_.find(k);
-    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
-    if (it->second == EdgeState::kDeleted) {
+    EdgeState* state = edge_index_.Find(k);
+    if (state == nullptr || *state == EdgeState::kBase) continue;
+    if (*state == EdgeState::kDeleted) {
       RemoveAdjEntries(k.src, k.dst, k.label);
-      edge_index_.erase(it);
+      edge_index_.Erase(k);
     } else {
       SetEdgeState(k.src, k.dst, k.label, EdgeState::kBase);
-      it->second = EdgeState::kBase;
+      *state = EdgeState::kBase;
     }
     MarkCsrDirty(k.src, k.dst);
   }
@@ -211,14 +236,14 @@ void Graph::Commit() {
 void Graph::Rollback() {
   // The committed edge set is unchanged, so the CSR stays current.
   for (const EdgeKey& k : pending_keys_) {
-    auto it = edge_index_.find(k);
-    if (it == edge_index_.end() || it->second == EdgeState::kBase) continue;
-    if (it->second == EdgeState::kInserted) {
+    EdgeState* state = edge_index_.Find(k);
+    if (state == nullptr || *state == EdgeState::kBase) continue;
+    if (*state == EdgeState::kInserted) {
       RemoveAdjEntries(k.src, k.dst, k.label);
-      edge_index_.erase(it);
+      edge_index_.Erase(k);
     } else {
       SetEdgeState(k.src, k.dst, k.label, EdgeState::kBase);
-      it->second = EdgeState::kBase;
+      *state = EdgeState::kBase;
     }
   }
   pending_keys_.clear();
@@ -235,16 +260,15 @@ size_t Graph::NumEdges(GraphView view) const {
 
 bool Graph::HasEdge(NodeId src, NodeId dst, LabelId label,
                     GraphView view) const {
-  auto it = edge_index_.find(EdgeKey{src, dst, label});
-  if (it == edge_index_.end()) return false;
-  return EdgeInView(it->second, view);
+  const EdgeState* state = edge_index_.Find(EdgeKey{src, dst, label});
+  return state != nullptr && EdgeInView(*state, view);
 }
 
 std::optional<EdgeState> Graph::EdgeStateOf(NodeId src, NodeId dst,
                                             LabelId label) const {
-  auto it = edge_index_.find(EdgeKey{src, dst, label});
-  if (it == edge_index_.end()) return std::nullopt;
-  return it->second;
+  const EdgeState* state = edge_index_.Find(EdgeKey{src, dst, label});
+  if (state == nullptr) return std::nullopt;
+  return *state;
 }
 
 size_t Graph::Degree(NodeId v, GraphView view) const {

@@ -19,6 +19,11 @@
 // which every full GraphSnapshot of that view shares (graph/snapshot.h).
 // Mutators record which nodes' committed adjacency changed; the next
 // snapshot request refreshes only those.
+//
+// Edge identity is answered by a flat open-addressing index (EdgeMap):
+// one 16-byte slot per edge in a power-of-two table, no per-edge heap
+// node. Loaders that hold a whole edge list go through AddEdges, which
+// sizes every adjacency list and the index once before inserting.
 
 #ifndef NGD_GRAPH_GRAPH_H_
 #define NGD_GRAPH_GRAPH_H_
@@ -29,7 +34,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/dictionary.h"
@@ -101,6 +106,105 @@ struct EdgeKeyHash {
   }
 };
 
+/// Flat open-addressing map from EdgeKey to a small value: linear probing
+/// over 16-byte slots in a power-of-two table kept at most 3/4 full.
+/// Erase shifts the rest of the probe run back instead of leaving a
+/// tombstone, so a miss always stops at the first empty slot. Find never
+/// writes, so concurrent const readers need no lock. A key whose src is
+/// kInvalidNode marks an empty slot and cannot be stored. A pointer from
+/// Find or Insert stays valid until the next Insert, Erase or Reserve.
+template <typename V, typename Hash = EdgeKeyHash>
+class EdgeMap {
+ public:
+  size_t size() const { return size_; }
+
+  /// Sizes the table so `n` keys fit without growing.
+  void Reserve(size_t n) {
+    size_t cap = kMinCapacity;
+    while (cap / 4 * 3 < n) cap *= 2;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
+  const V* Find(const EdgeKey& key) const {
+    if (size_ == 0) return nullptr;
+    const Slot& slot = slots_[Probe(key)];
+    return IsEmpty(slot) ? nullptr : &slot.value;
+  }
+  V* Find(const EdgeKey& key) {
+    return const_cast<V*>(std::as_const(*this).Find(key));
+  }
+
+  /// Stores (key, value) unless key is present. Returns the stored value
+  /// and whether key was new; the table is probed once either way, and a
+  /// second time only when a new key makes it grow.
+  std::pair<V*, bool> Insert(const EdgeKey& key, V value) {
+    if (slots_.empty()) Rehash(kMinCapacity);
+    size_t i = Probe(key);
+    if (!IsEmpty(slots_[i])) return {&slots_[i].value, false};
+    if ((size_ + 1) * 4 > slots_.size() * 3) {
+      Rehash(slots_.size() * 2);
+      i = Probe(key);
+    }
+    slots_[i] = Slot{key, value};
+    ++size_;
+    return {&slots_[i].value, true};
+  }
+
+  /// Removes key; false if it was absent.
+  bool Erase(const EdgeKey& key) {
+    if (size_ == 0) return false;
+    size_t i = Probe(key);
+    if (IsEmpty(slots_[i])) return false;
+    // Backward shift: walk the rest of the run and pull back every entry
+    // whose home slot lies at or before the hole, so no lookup that
+    // passes the hole can miss it.
+    for (size_t j = (i + 1) & mask_; !IsEmpty(slots_[j]);
+         j = (j + 1) & mask_) {
+      const size_t home = Hash()(slots_[j].key) & mask_;
+      if (((j - home) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i] = Slot{};
+    --size_;
+    return true;
+  }
+
+ private:
+  static_assert(sizeof(V) <= 4, "EdgeMap slots hold a key and 4 bytes");
+  static constexpr size_t kMinCapacity = 16;
+
+  struct Slot {
+    EdgeKey key{kInvalidNode, 0, 0};
+    V value{};
+  };
+
+  static bool IsEmpty(const Slot& s) { return s.key.src == kInvalidNode; }
+
+  /// The slot holding key, or the empty slot that ends its probe run.
+  size_t Probe(const EdgeKey& key) const {
+    size_t i = Hash()(key) & mask_;
+    while (!IsEmpty(slots_[i]) && !(slots_[i].key == key)) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
+  void Rehash(size_t capacity) {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(capacity));
+    mask_ = capacity - 1;
+    for (const Slot& s : old) {
+      if (!IsEmpty(s)) slots_[Probe(s.key)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
 class Graph {
  public:
   explicit Graph(SchemaPtr schema);
@@ -121,6 +225,13 @@ class Graph {
   /// the (src, dst, label) edge already exists in any state.
   Status AddEdge(NodeId src, NodeId dst, LabelId label);
   Status AddEdge(NodeId src, NodeId dst, std::string_view label_name);
+
+  /// Adds base edges in order, as AddEdge over `edges` would, stopping at
+  /// the first failure; `*failed_at` (if set) then gets its index, and the
+  /// edges before it stay added. Sizes every adjacency list and the edge
+  /// index once up front, so a whole graph's edges cost no regrowth.
+  Status AddEdges(const std::vector<EdgeKey>& edges,
+                  size_t* failed_at = nullptr);
 
   // ---- Batch-update overlay (ΔG) ------------------------------------------
 
@@ -188,7 +299,8 @@ class Graph {
  private:
   // Shares and refreshes the committed CSR (snapshot.cc).
   friend class GraphSnapshot;
-  // Size each attribute tuple once where its length is known.
+  // Sizes the node arrays and each attribute tuple once where the
+  // lengths are known.
   friend class SnapshotCodec;
   friend UpdateBatch GenerateUpdateBatch(Graph* g,
                                          const UpdateGenOptions& opts);
@@ -198,6 +310,11 @@ class Graph {
     std::vector<std::pair<AttrId, Value>> attrs;  // sorted by AttrId
   };
 
+  void ReserveNodes(size_t n) {
+    nodes_.reserve(n);
+    out_.reserve(n);
+    in_.reserve(n);
+  }
   void ReserveAttrs(NodeId v, size_t n) { nodes_[v].attrs.reserve(n); }
   void SetEdgeState(NodeId src, NodeId dst, LabelId label, EdgeState state);
   void RemoveAdjEntries(NodeId src, NodeId dst, LabelId label);
@@ -208,7 +325,7 @@ class Graph {
   std::vector<NodeRecord> nodes_;
   std::vector<std::vector<AdjEntry>> out_;
   std::vector<std::vector<AdjEntry>> in_;
-  std::unordered_map<EdgeKey, EdgeState, EdgeKeyHash> edge_index_;
+  EdgeMap<EdgeState> edge_index_;
   std::vector<std::vector<NodeId>> label_index_;  // label -> node ids
   size_t num_base_edges_ = 0;
   size_t num_inserted_edges_ = 0;

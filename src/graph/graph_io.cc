@@ -422,30 +422,56 @@ StatusOr<std::unique_ptr<Graph>> ParseGraphText(std::string_view text,
       }
     }
   }
+  // Endpoints are checked in file order up to the first bad one; the edges
+  // before it go in through the bulk path. A duplicate among them comes
+  // earlier in the file than the bad endpoint, so it is reported first,
+  // exactly as an edge-by-edge load would.
   const int64_t num_nodes = static_cast<int64_t>(g->NumNodes());
-  line_base = 0;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    for (const ParsedEdge& e : shards[s].edges) {
-      auto err = [&](const std::string& msg) {
-        return Status::Corruption(
-            "line " + std::to_string(line_base + e.line) + ": " + msg);
-      };
-      if (e.src < 0 || e.dst < 0) {
-        return err("negative edge endpoint (" + std::to_string(e.src) + ", " +
-                   std::to_string(e.dst) + ")");
+  size_t num_edges = 0;
+  for (const Shard& shard : shards) num_edges += shard.edges.size();
+  std::vector<EdgeKey> keys;
+  keys.reserve(num_edges);
+  auto collect = [&]() -> Status {
+    size_t base = 0;
+    for (size_t s = 0; s < shards.size(); ++s) {
+      for (const ParsedEdge& e : shards[s].edges) {
+        auto err = [&](const std::string& msg) {
+          return Status::Corruption(
+              "line " + std::to_string(base + e.line) + ": " + msg);
+        };
+        if (e.src < 0 || e.dst < 0) {
+          return err("negative edge endpoint (" + std::to_string(e.src) +
+                     ", " + std::to_string(e.dst) + ")");
+        }
+        if (e.src >= num_nodes || e.dst >= num_nodes) {
+          return err("edge endpoint out of range (" + std::to_string(e.src) +
+                     ", " + std::to_string(e.dst) + "); file declares " +
+                     std::to_string(num_nodes) + " nodes");
+        }
+        keys.push_back(EdgeKey{static_cast<NodeId>(e.src),
+                               static_cast<NodeId>(e.dst),
+                               label_maps[s][e.label]});
       }
-      if (e.src >= num_nodes || e.dst >= num_nodes) {
-        return err("edge endpoint out of range (" + std::to_string(e.src) +
-                   ", " + std::to_string(e.dst) + "); file declares " +
-                   std::to_string(num_nodes) + " nodes");
-      }
-      Status added = g->AddEdge(static_cast<NodeId>(e.src),
-                                static_cast<NodeId>(e.dst),
-                                label_maps[s][e.label]);
-      if (!added.ok()) return err(added.ToString());
+      base += shards[s].num_lines;
     }
-    line_base += shards[s].num_lines;
+    return Status::OK();
+  };
+  const Status endpoints = collect();
+  size_t failed = 0;
+  Status added = g->AddEdges(keys, &failed);
+  if (!added.ok()) {
+    line_base = 0;
+    for (const Shard& shard : shards) {
+      if (failed < shard.edges.size()) {
+        return Status::Corruption(
+            "line " + std::to_string(line_base + shard.edges[failed].line) +
+            ": " + added.ToString());
+      }
+      failed -= shard.edges.size();
+      line_base += shard.num_lines;
+    }
   }
+  if (!endpoints.ok()) return endpoints;
   return g;
 }
 

@@ -589,6 +589,7 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
   const SnapshotCore& c = *snap.core_;
   auto g = std::make_unique<Graph>(snap.schema_);
   const size_t n = snap.NumNodes();
+  g->ReserveNodes(n);
   for (size_t v = 0; v < n; ++v) {
     g->AddNode(c.node_labels[v]);
   }
@@ -598,18 +599,20 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
       g->SetAttr(v, c.attrs[i].first, c.attrs[i].second);
     }
   }
+  std::vector<EdgeKey> edges;
+  edges.reserve(c.out.nbr.size());
   for (NodeId v = 0; v < n; ++v) {
     for (uint32_t gi = c.out.group_off[v]; gi < c.out.group_off[v + 1];
          ++gi) {
       const auto& group = c.out.groups[gi];
       for (uint32_t i = group.begin; i < group.end; ++i) {
-        Status s = g->AddEdge(v, c.out.nbr[i], group.label);
-        if (!s.ok()) {
-          return Status::Internal("snapshot materialization: " +
-                                  s.ToString());
-        }
+        edges.push_back(EdgeKey{v, c.out.nbr[i], group.label});
       }
     }
+  }
+  Status s = g->AddEdges(edges);
+  if (!s.ok()) {
+    return Status::Internal("snapshot materialization: " + s.ToString());
   }
   return g;
 }

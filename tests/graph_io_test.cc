@@ -347,5 +347,39 @@ TEST(GraphIoPropertyTest, ParallelErrorsMatchSequentialOracle) {
   }
 }
 
+TEST(GraphIoPropertyTest, FirstDuplicateOrBadEndpointWinsInFileOrder) {
+  // Edges load in bulk after the endpoint checks, yet the error reported
+  // is still the first one in the file, with its line, from every thread
+  // count: a duplicate before a bad endpoint, or a bad endpoint before a
+  // duplicate.
+  std::string nodes;
+  for (int i = 0; i < 200; ++i) nodes += "N\tp\n";
+  std::string edges;  // lines 201..400
+  for (int i = 0; i < 200; ++i) {
+    edges += "E\t" + std::to_string(i) + "\t" + std::to_string((i + 1) % 200) +
+             "\tknows\n";
+  }
+  const std::string dup = "E\t5\t6\tknows\n";
+  const std::string bad = "E\t0\t9999\tknows\n";
+  const struct {
+    std::string text;
+    std::string message;
+  } cases[] = {
+      {nodes + edges + dup + bad,
+       "line 401: AlreadyExists: edge already exists"},
+      {nodes + edges + bad + dup,
+       "line 401: edge endpoint out of range (0, 9999); file declares 200 "
+       "nodes"},
+  };
+  for (const auto& c : cases) {
+    for (int threads : {1, 2, 3, 8}) {
+      auto r = Parse(c.text, threads);
+      ASSERT_FALSE(r.ok()) << threads << " threads";
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+      EXPECT_EQ(r.status().message(), c.message) << threads << " threads";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ngd

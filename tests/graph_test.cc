@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/graph_io.h"
 #include "graph/neighborhood.h"
+#include "util/rng.h"
 
 namespace ngd {
 namespace {
@@ -189,6 +197,231 @@ TEST_F(GraphTest, InOutAdjacencyConsistent) {
   ASSERT_EQ(g_.InEdges(b).size(), 1u);
   EXPECT_EQ(g_.InEdges(b)[0].other, a);
   EXPECT_TRUE(g_.OutEdges(b).empty());
+}
+
+// ---- Randomized models ------------------------------------------------------
+
+// Every key hashes to one of the table's last three slots, so probe runs
+// wrap past the end and each erase shifts entries back across the wrap.
+struct CollidingHash {
+  size_t operator()(const EdgeKey& k) const {
+    return ~size_t{0} - k.src % 3;
+  }
+};
+
+struct EdgeKeyLess {
+  bool operator()(const EdgeKey& a, const EdgeKey& b) const {
+    return std::tie(a.src, a.dst, a.label) < std::tie(b.src, b.dst, b.label);
+  }
+};
+
+// Mixed Insert/Find/Erase/Reserve against std::unordered_map. The key
+// space (372 keys) outgrows the first tables, so growth runs too.
+template <typename Map>
+void CheckEdgeMapAgainstModel(uint64_t seed) {
+  Rng rng(seed);
+  Map map;
+  std::unordered_map<EdgeKey, int, EdgeKeyHash> model;
+  auto random_key = [&] {
+    return EdgeKey{static_cast<NodeId>(rng.UniformInt(0, 30)),
+                   static_cast<NodeId>(rng.UniformInt(0, 3)),
+                   static_cast<LabelId>(rng.UniformInt(0, 2))};
+  };
+  for (int op = 0; op < 600; ++op) {
+    const EdgeKey k = random_key();
+    const int64_t dice = rng.UniformInt(0, 99);
+    if (dice < 50) {
+      const int value = op;
+      auto [stored, added] = map.Insert(k, value);
+      const bool model_added = model.emplace(k, value).second;
+      ASSERT_EQ(added, model_added) << "seed " << seed << " op " << op;
+      EXPECT_EQ(*stored, model.at(k));
+    } else if (dice < 80) {
+      ASSERT_EQ(map.Erase(k), model.erase(k) > 0)
+          << "seed " << seed << " op " << op;
+    } else if (dice < 98) {
+      const int* found = map.Find(k);
+      auto it = model.find(k);
+      ASSERT_EQ(found != nullptr, it != model.end())
+          << "seed " << seed << " op " << op;
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second);
+      }
+    } else {
+      map.Reserve(model.size() + static_cast<size_t>(rng.UniformInt(0, 64)));
+    }
+    ASSERT_EQ(map.size(), model.size());
+    if (op % 50 == 49) {
+      for (const auto& [key, value] : model) {
+        const int* found = map.Find(key);
+        ASSERT_NE(found, nullptr) << "seed " << seed << " op " << op;
+        EXPECT_EQ(*found, value);
+      }
+    }
+  }
+  // Drain: erasing every key leaves nothing findable.
+  for (const auto& [key, value] : model) ASSERT_TRUE(map.Erase(key));
+  EXPECT_EQ(map.size(), 0u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(map.Find(random_key()), nullptr);
+}
+
+TEST(EdgeMapTest, MatchesUnorderedMapWithCollidingHash) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    CheckEdgeMapAgainstModel<EdgeMap<int, CollidingHash>>(seed);
+  }
+}
+
+TEST(EdgeMapTest, MatchesUnorderedMapWithEdgeKeyHash) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    CheckEdgeMapAgainstModel<EdgeMap<int>>(seed);
+  }
+}
+
+// Random AddEdge/AddEdges/InsertEdge/DeleteEdge/Commit/Rollback sequences
+// against a std::map of edge states, checking every key's state, both
+// edge counts and both adjacency directions after each step.
+TEST(GraphModelTest, MatchesEdgeStateModel) {
+  using Model = std::map<EdgeKey, EdgeState, EdgeKeyLess>;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    SchemaPtr schema = Schema::Create();
+    Graph g(schema);
+    Model model;
+    const std::vector<LabelId> labels = {schema->InternLabel("l0"),
+                                         schema->InternLabel("l1"),
+                                         schema->InternLabel("l2")};
+    for (int i = 0; i < 4; ++i) g.AddNode("n");
+    // One node past the end, so range failures run too.
+    auto random_key = [&] {
+      const int64_t hi = static_cast<int64_t>(g.NumNodes());
+      return EdgeKey{static_cast<NodeId>(rng.UniformInt(0, hi)),
+                     static_cast<NodeId>(rng.UniformInt(0, hi)),
+                     labels[rng.UniformInt(0, 2)]};
+    };
+    auto in_range = [&](const EdgeKey& k) {
+      return k.src < g.NumNodes() && k.dst < g.NumNodes();
+    };
+    // AddEdge's contract, applied to the model; returns the expected code.
+    auto model_add = [&](const EdgeKey& k) {
+      if (!in_range(k)) return StatusCode::kInvalidArgument;
+      if (!model.emplace(k, EdgeState::kBase).second) {
+        return StatusCode::kAlreadyExists;
+      }
+      return StatusCode::kOk;
+    };
+    for (int op = 0; op < 200; ++op) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                   std::to_string(op));
+      const int64_t dice = rng.UniformInt(0, 99);
+      if (dice < 5) {
+        g.AddNode("n");
+      } else if (dice < 20) {
+        const EdgeKey k = random_key();
+        const StatusCode want = model_add(k);
+        ASSERT_EQ(g.AddEdge(k.src, k.dst, k.label).code(), want);
+      } else if (dice < 35) {
+        std::vector<EdgeKey> batch(
+            static_cast<size_t>(rng.UniformInt(0, 8)));
+        for (EdgeKey& k : batch) k = random_key();
+        StatusCode want = StatusCode::kOk;
+        size_t want_failed = 0;
+        for (; want_failed < batch.size(); ++want_failed) {
+          want = model_add(batch[want_failed]);
+          if (want != StatusCode::kOk) break;
+        }
+        size_t failed = batch.size() + 1;
+        ASSERT_EQ(g.AddEdges(batch, &failed).code(), want);
+        if (want != StatusCode::kOk) {
+          EXPECT_EQ(failed, want_failed);
+        }
+      } else if (dice < 60) {
+        const EdgeKey k = random_key();
+        StatusCode want = StatusCode::kOk;
+        auto it = model.find(k);
+        if (!in_range(k)) {
+          want = StatusCode::kInvalidArgument;
+        } else if (it == model.end()) {
+          model.emplace(k, EdgeState::kInserted);
+        } else if (it->second == EdgeState::kDeleted) {
+          it->second = EdgeState::kBase;
+        } else {
+          want = StatusCode::kAlreadyExists;
+        }
+        ASSERT_EQ(g.InsertEdge(k.src, k.dst, k.label).code(), want);
+      } else if (dice < 85) {
+        const EdgeKey k = random_key();
+        StatusCode want = StatusCode::kOk;
+        auto it = model.find(k);
+        if (it == model.end() || it->second == EdgeState::kDeleted) {
+          want = StatusCode::kNotFound;
+        } else if (it->second == EdgeState::kInserted) {
+          model.erase(it);
+        } else {
+          it->second = EdgeState::kDeleted;
+        }
+        ASSERT_EQ(g.DeleteEdge(k.src, k.dst, k.label).code(), want);
+      } else {
+        const bool commit = dice < 93;
+        const EdgeState drop =
+            commit ? EdgeState::kDeleted : EdgeState::kInserted;
+        for (auto it = model.begin(); it != model.end();) {
+          if (it->second == drop) {
+            it = model.erase(it);
+          } else {
+            it->second = EdgeState::kBase;
+            ++it;
+          }
+        }
+        if (commit) {
+          g.Commit();
+        } else {
+          g.Rollback();
+        }
+      }
+
+      size_t old_edges = 0, new_edges = 0;
+      bool pending = false;
+      using Adj = std::tuple<NodeId, LabelId, EdgeState>;
+      std::vector<std::vector<Adj>> out(g.NumNodes()), in(g.NumNodes());
+      for (const auto& [k, state] : model) {
+        old_edges += EdgeInView(state, GraphView::kOld) ? 1 : 0;
+        new_edges += EdgeInView(state, GraphView::kNew) ? 1 : 0;
+        pending |= state != EdgeState::kBase;
+        out[k.src].emplace_back(k.dst, k.label, state);
+        in[k.dst].emplace_back(k.src, k.label, state);
+      }
+      ASSERT_EQ(g.NumEdges(GraphView::kOld), old_edges);
+      ASSERT_EQ(g.NumEdges(GraphView::kNew), new_edges);
+      ASSERT_EQ(g.HasPendingUpdate(), pending);
+      for (NodeId s = 0; s < g.NumNodes(); ++s) {
+        for (NodeId d = 0; d < g.NumNodes(); ++d) {
+          for (LabelId l : labels) {
+            auto it = model.find(EdgeKey{s, d, l});
+            const std::optional<EdgeState> want =
+                it == model.end() ? std::nullopt
+                                  : std::optional<EdgeState>(it->second);
+            ASSERT_EQ(g.EdgeStateOf(s, d, l), want);
+            for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
+              ASSERT_EQ(g.HasEdge(s, d, l, view),
+                        want.has_value() && EdgeInView(*want, view));
+            }
+          }
+        }
+        auto sorted = [](const std::vector<AdjEntry>& adj) {
+          std::vector<Adj> v;
+          for (const AdjEntry& e : adj) {
+            v.emplace_back(e.other, e.label, e.state);
+          }
+          std::sort(v.begin(), v.end());
+          return v;
+        };
+        std::sort(out[s].begin(), out[s].end());
+        std::sort(in[s].begin(), in[s].end());
+        ASSERT_EQ(sorted(g.OutEdges(s)), out[s]);
+        ASSERT_EQ(sorted(g.InEdges(s)), in[s]);
+      }
+    }
+  }
 }
 
 // ---- d-hop neighborhoods ----------------------------------------------------

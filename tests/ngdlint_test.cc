@@ -187,6 +187,37 @@ TEST(NgdlintTest, FnvInCommentsOrLongerNumbersIsQuiet) {
   EXPECT_TRUE(WithRule(t.Lint(), "fnv-duplicate").empty());
 }
 
+TEST(NgdlintTest, EdgeKeyedStdHashTableFires) {
+  FixtureTree t("ngdlint_edge_map");
+  t.Write("src/magics.h", kAllMagics);
+  t.Write("src/index.cc",
+          "std::unordered_map<EdgeKey, int, EdgeKeyHash> a;\n"
+          "std::unordered_set< ngd::EdgeKey, EdgeKeyHash> b;\n"
+          "std::unordered_map<EdgeKeyHash, int> c;\n"
+          "std::unordered_map<NodeId, EdgeKey> d;\n"
+          "EdgeMap<int> e;\n");
+  const auto hits = WithRule(t.Lint(), "edge-map-duplicate");
+  ASSERT_EQ(hits.size(), 2u);  // other key types do not count
+  EXPECT_EQ(hits[0].file, "src/index.cc");
+  EXPECT_EQ(hits[0].line, 1);
+  EXPECT_EQ(hits[1].line, 2);
+  EXPECT_NE(hits[1].message.find("unordered_set"), std::string::npos);
+}
+
+TEST(NgdlintTest, EdgeKeyedHashTableInCommentsOrTestsIsQuiet) {
+  FixtureTree t("ngdlint_edge_map_quiet");
+  t.Write("src/magics.h", kAllMagics);
+  t.Write("src/index.cc",
+          "// was std::unordered_map<EdgeKey, EdgeState>\n"
+          "/* std::unordered_set<EdgeKey> */\n"
+          "static const char* kDoc = \"unordered_map<EdgeKey, int>\";\n"
+          "std::unordered_map<EdgeKey, int> a;  "
+          "// ngdlint:allow(edge-map-duplicate)\n");
+  t.Write("tests/model_test.cc",
+          "std::unordered_map<EdgeKey, int, EdgeKeyHash> model;\n");
+  EXPECT_TRUE(WithRule(t.Lint(), "edge-map-duplicate").empty());
+}
+
 TEST(NgdlintTest, MissingIncludeFires) {
   FixtureTree t("ngdlint_include");
   t.Write("src/magics.h", kAllMagics);

@@ -17,6 +17,12 @@
 //                       a private copy of the hash every checksummed
 //                       format and the Σ-cache key share (comments and
 //                       string literals do not count).
+//   edge-map-duplicate  std::unordered_map<EdgeKey, ...> or
+//                       std::unordered_set<EdgeKey> in src/ code — a
+//                       node-per-entry hash table beside EdgeMap
+//                       (graph/graph.h), the flat index edge-keyed
+//                       lookups share (comments and string literals do
+//                       not count).
 //   naked-new           `new` outside a smart-pointer factory in src/.
 //   banned-rand /       rand() (use util/rng.h), std::endl (use '\n'),
 //   banned-endl /       time() (use util/timer.h) in library code.
@@ -310,6 +316,37 @@ void RuleFnvDuplicate(const Source& s, std::vector<Finding>* out) {
   }
 }
 
+// A std::unordered_map or std::unordered_set keyed by EdgeKey (optionally
+// ngd::-qualified, any spacing around '<').
+void RuleEdgeMapDuplicate(const Source& s, std::vector<Finding>* out) {
+  const std::string& text = s.blank;
+  auto skip_space = [&](size_t i) {
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    return i;
+  };
+  for (const char* container : {"unordered_map", "unordered_set"}) {
+    for (size_t p : FindWord(text, container)) {
+      size_t i = skip_space(p + std::string(container).size());
+      if (i >= text.size() || text[i] != '<') continue;
+      i = skip_space(i + 1);
+      if (text.compare(i, 5, "ngd::") == 0) i += 5;
+      const std::string key = "EdgeKey";
+      if (text.compare(i, key.size(), key) != 0) continue;
+      if (i + key.size() < text.size() && IsIdentChar(text[i + key.size()])) {
+        continue;
+      }
+      const int line = LineOf(text, p);
+      if (Suppressed(s, line, "edge-map-duplicate")) continue;
+      out->push_back({s.path, line, "edge-map-duplicate",
+                      std::string("std::") + container +
+                          " keyed by EdgeKey; use EdgeMap (graph/graph.h)"});
+    }
+  }
+}
+
 // std:: types a header must directly include the defining header for.
 // Conservative by design: only unambiguous type -> header pairs.
 const std::pair<const char*, const char*> kStdHeaders[] = {
@@ -479,6 +516,7 @@ std::vector<Finding> LintTree(const std::string& root) {
     if (path.compare(0, 4, "src/") != 0) continue;
     RuleBanned(s, &out);
     RuleFnvDuplicate(s, &out);
+    RuleEdgeMapDuplicate(s, &out);
     if (path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0) {
       RuleMissingInclude(s, &out);
       RuleIncludeGuard(s, &out);
