@@ -4,8 +4,8 @@
 #   1. Release (-DNDEBUG): the guards that must survive assert() removal,
 #      plus ngdlint over the tree.
 #   2. Debug + ASan/UBSan: memory and signed-overflow regressions.
-#   3. Debug + TSan: data races in the parallel, recovery, spill and
-#      graph suites (TSan cannot share a build with ASan).
+#   3. Debug + TSan: data races in the parallel, recovery, spill, graph
+#      and incremental suites (TSan cannot share a build with ASan).
 #
 # Usage: ci/verify.sh [build-dir-prefix]
 set -euo pipefail
@@ -45,12 +45,13 @@ echo "==== ngdlint ===="
 )
 # The concurrent core under TSan, as the CI tsan job configures it.
 (
-  export NGD_FRAG_CASES=3 NGD_RECOVERY_CASES=2 NGD_SPILL_HEAVY=0
+  export NGD_FRAG_CASES=3 NGD_RECOVERY_CASES=2 NGD_SPILL_HEAVY=0 \
+    NGD_DIFF_CASES=150
   build_config tsan -DCMAKE_BUILD_TYPE=Debug -DNGD_SANITIZE=thread \
     -DNGD_BUILD_EXAMPLES=OFF
   echo "==== [tsan] ctest ===="
   ctest --test-dir "${prefix}-tsan" --output-on-failure -j "${jobs}" \
-    -L "parallel|recovery|spill|graph"
+    -L "parallel|recovery|spill|graph|incremental"
 )
 
 echo "==== tier-1 verification passed ===="

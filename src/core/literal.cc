@@ -142,21 +142,4 @@ std::string Literal::ToString(const std::vector<std::string>& var_names,
          rhs_.ToString(var_names, attr_dict);
 }
 
-Truth EvaluateAll(const std::vector<Literal>& literals, const Graph& g,
-                  const Binding& binding) {
-  bool not_ready = false;
-  for (const Literal& l : literals) {
-    switch (l.Evaluate(g, binding)) {
-      case Truth::kFalse:
-        return Truth::kFalse;
-      case Truth::kNotReady:
-        not_ready = true;
-        break;
-      case Truth::kTrue:
-        break;
-    }
-  }
-  return not_ready ? Truth::kNotReady : Truth::kTrue;
-}
-
 }  // namespace ngd

@@ -66,11 +66,6 @@ class Literal {
   Expr rhs_;
 };
 
-/// Conjunction over a literal set Z: kTrue iff all true; kFalse if any
-/// false; otherwise kNotReady.
-Truth EvaluateAll(const std::vector<Literal>& literals, const Graph& g,
-                  const Binding& binding);
-
 }  // namespace ngd
 
 #endif  // NGD_CORE_LITERAL_H_

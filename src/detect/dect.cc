@@ -7,6 +7,22 @@ namespace ngd {
 
 namespace {
 
+/// Resolves a SnapshotMode to a concrete build-the-snapshot decision
+/// (kAuto defers to WantSnapshot on `view`), so Dect and FindAnyViolation
+/// make the same choice for the same options.
+bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
+                     GraphView view) {
+  switch (mode) {
+    case SnapshotMode::kAlways:
+      return true;
+    case SnapshotMode::kNever:
+      return false;
+    case SnapshotMode::kAuto:
+      break;
+  }
+  return WantSnapshot(g, sigma, view);
+}
+
 /// Runs one detection sweep over every rule in Σ (already minimized —
 /// the engine body under RunMinimized) against one materialized search
 /// backend: the caller's snapshot, an owned one when opts.snapshot_mode
@@ -173,19 +189,6 @@ bool WantSnapshot(const Graph& g, const NgdSet& sigma, GraphView view) {
   // pay identically; the build no longer amortizes against the (small)
   // matching share. Sample the violation density before committing.
   return !EmissionDominated(g, sigma, view);
-}
-
-bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
-                     GraphView view) {
-  switch (mode) {
-    case SnapshotMode::kAlways:
-      return true;
-    case SnapshotMode::kNever:
-      return false;
-    case SnapshotMode::kAuto:
-      break;
-  }
-  return WantSnapshot(g, sigma, view);
 }
 
 VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts) {

@@ -97,13 +97,6 @@ struct DectOptions : DetectControl {
 bool WantSnapshot(const Graph& g, const NgdSet& sigma,
                   GraphView view = GraphView::kNew);
 
-/// Resolves a SnapshotMode to a concrete build-the-snapshot decision
-/// (kAuto defers to WantSnapshot on `view`). Shared by Dect,
-/// FindAnyViolation and PDect so all engines make the same choice for the
-/// same options.
-bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
-                     GraphView view = GraphView::kNew);
-
 /// Vio(Σ, G): all violations of all NGDs in Σ.
 VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts = {});
 

@@ -1,7 +1,6 @@
 #include "detect/inc_dect.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 namespace ngd {
 
@@ -111,102 +110,45 @@ Status ValidateForIncremental(const NgdSet& sigma) {
 
 namespace {
 
-/// Budgeted BFS ball over the union of both views (every adjacency entry,
-/// any overlay state — a superset of each view's ball, so it is a sound
-/// scope for ΔVio+ and ΔVio- searches alike). Returns false and leaves
-/// the ball partial once more than `budget` nodes are visited.
-bool BoundedUnionBall(const Graph& g, const std::vector<NodeId>& seeds,
-                      int d, size_t budget, NodeSet* ball) {
-  std::vector<NodeId> frontier;
-  for (NodeId v : seeds) {
-    if (ball->Contains(v)) continue;
-    ball->Add(v);
-    frontier.push_back(v);
-    if (ball->size() > budget) return false;
-  }
-  for (int hop = 0; hop < d && !frontier.empty(); ++hop) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      for (const auto* adj : {&g.OutEdges(v), &g.InEdges(v)}) {
-        for (const AdjEntry& e : *adj) {
-          if (ball->Contains(e.other)) continue;
-          ball->Add(e.other);
-          next.push_back(e.other);
-          if (ball->size() > budget) return false;
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return true;
-}
+/// Rejects update edges with pivot order below the current pivot, so each
+/// match is reached from its minimal update edge only. Ranking only ever
+/// concerns *update* edges: with a DeltaView backend (`dv` set) anything
+/// outside its delta spans is a base edge and is admitted with one CSR
+/// span check — no hash probe — and only genuine delta entries (a
+/// |ΔG|-sized minority of everything a search touches) pay the
+/// UpdateIndex lookup. `dv == nullptr` means the live graph.
+class PivotEdgeFilter : public EdgeFilter {
+ public:
+  PivotEdgeFilter(const DeltaView* dv, const UpdateIndex* index,
+                  UpdateKind kind, int pivot_index)
+      : dv_(dv), index_(index), kind_(kind), pivot_index_(pivot_index) {}
 
-}  // namespace
-
-AffectedArea::AffectedArea(const Graph& g, const NgdSet& sigma,
-                           const UpdateIndex& index) {
-  std::vector<NodeId> seeds;
-  seeds.reserve(index.updates().size() * 2);
-  for (const EffectiveUpdate& u : index.updates()) {
-    seeds.push_back(u.edge.src);
-    seeds.push_back(u.edge.dst);
-  }
-  const size_t budget = std::max<size_t>(256, g.NumNodes() / 8);
-
-  // One ball per distinct diameter; each with the set of node labels it
-  // contains, for the candidate-array intersection below.
-  std::vector<int> diameter_of_ball;
-  std::vector<std::vector<uint8_t>> labels_in_ball;
-  const size_t num_labels = g.schema()->labels().size();
-  ball_of_rule_.resize(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const int d = sigma[f].pattern().Diameter();
-    auto it = std::find(diameter_of_ball.begin(), diameter_of_ball.end(), d);
-    if (it != diameter_of_ball.end()) {
-      ball_of_rule_[f] = static_cast<int>(it - diameter_of_ball.begin());
-      continue;
+  bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
+             LabelId label) const override {
+    if (dv_ != nullptr &&
+        !dv_->IsDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
+      return true;
     }
-    diameter_of_ball.push_back(d);
-    NodeSet ball(g.NumNodes());
-    const bool bounded = BoundedUnionBall(g, seeds, d, budget, &ball);
-    labels_in_ball.emplace_back();
-    if (bounded) {
-      labels_in_ball.back().assign(num_labels, 0);
-      for (NodeId v : ball.members()) {
-        labels_in_ball.back()[g.NodeLabel(v)] = 1;
-      }
-    }
-    balls_.push_back(std::move(ball));
-    bounded_.push_back(bounded);
-    ball_of_rule_[f] = static_cast<int>(balls_.size()) - 1;
+    auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
+    return !i.has_value() || *i >= pivot_index_;
   }
 
-  rule_can_match_.resize(sigma.size());
-  for (size_t f = 0; f < sigma.size(); ++f) {
-    const Pattern& pattern = sigma[f].pattern();
-    const int b = ball_of_rule_[f];
-    if (!bounded_[b]) {
-      rule_can_match_[f] = true;  // saturated ball: prune nothing
-      continue;
-    }
-    const std::vector<uint8_t>& present = labels_in_ball[b];
-    bool ok = !balls_[b].empty();
-    for (size_t u = 0; ok && u < pattern.NumNodes(); ++u) {
-      const LabelId l = pattern.node(static_cast<int>(u)).label;
-      if (l == kWildcardLabel) continue;
-      if (l >= present.size() || !present[l]) ok = false;
-    }
-    rule_can_match_[f] = ok;
-  }
-}
+ private:
+  const DeltaView* dv_;
+  const UpdateIndex* index_;
+  UpdateKind kind_;
+  int pivot_index_;
+};
 
+/// The backend decision for SnapshotMode kAuto without a base snapshot:
+/// true when the depth-1 frontier the pivot tasks would stream (a lower
+/// bound on the live engine's scan volume) already exceeds a small
+/// multiple of what the O(|V| + |E|) base-snapshot build streams.
 bool WantDeltaView(const Graph& g, const UpdateIndex& index,
                    const std::vector<PivotTask>& tasks) {
-  // Depth-1 frontier: every pivot task streams the adjacency of both of
-  // its endpoints at least once before any recursion — a lower bound on
-  // what the live engine scans. The base-snapshot build streams
-  // |V| + 2|E| entries with a sort-like constant; require the frontier to
-  // exceed a small multiple of that before paying the build.
+  // Every pivot task streams the adjacency of both of its endpoints at
+  // least once before any recursion. The base-snapshot build streams
+  // |V| + 2|E| entries with a sort-like constant.
   const size_t build_cost = g.NumNodes() + g.NumEdges(GraphView::kOld) +
                             g.NumEdges(GraphView::kNew);
   const size_t threshold = 2 * build_cost;
@@ -219,18 +161,101 @@ bool WantDeltaView(const Graph& g, const UpdateIndex& index,
   return false;
 }
 
-bool ResolveDeltaView(const Graph& g, const UpdateIndex& index,
-                      const std::vector<PivotTask>& tasks, SnapshotMode mode,
-                      bool base_snapshot_provided) {
-  switch (mode) {
-    case SnapshotMode::kAlways:
-      return true;
-    case SnapshotMode::kNever:
-      return false;
-    case SnapshotMode::kAuto:
-      break;
+}  // namespace
+
+PivotBatch::PivotBatch(const Graph& g, const NgdSet& sigma,
+                       const UpdateBatch& batch, SnapshotMode mode,
+                       const GraphSnapshot* base_snapshot)
+    : g_(g),
+      sigma_(sigma),
+      index_(g, batch),
+      tasks_(EnumeratePivotTasks(g, sigma, index_)) {
+  const bool use_delta_view =
+      mode == SnapshotMode::kAlways ||
+      (mode == SnapshotMode::kAuto &&
+       (base_snapshot != nullptr || WantDeltaView(g, index_, tasks_)));
+  if (use_delta_view) {
+    if (base_snapshot == nullptr) {
+      owned_base_.emplace(g, GraphView::kOld);
+      base_snapshot = &*owned_base_;
+    }
+    dv_.emplace(*base_snapshot, g, batch);
   }
-  return base_snapshot_provided || WantDeltaView(g, index, tasks);
+
+  plan_offset_.reserve(sigma.size());
+  size_t edges = 0;
+  for (size_t f = 0; f < sigma.size(); ++f) {
+    plan_offset_.push_back(edges);
+    edges += sigma[f].pattern().NumEdges();
+  }
+  plans_.resize(edges);
+  for (const PivotTask& t : tasks_) {
+    std::optional<MatchPlan>& plan =
+        plans_[plan_offset_[t.ngd_index] + t.pattern_edge];
+    if (plan.has_value()) continue;
+    const Ngd& ngd = sigma[t.ngd_index];
+    const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
+    std::vector<int> seeds{pe.src};
+    if (pe.dst != pe.src) seeds.push_back(pe.dst);
+    plan = BuildMatchPlan(ngd.pattern(), std::move(seeds), &ngd.X(),
+                          &ngd.Y());
+  }
+}
+
+const MatchPlan& PivotBatch::Plan(const PivotTask& task) const {
+  return *plans_[plan_offset_[task.ngd_index] + task.pattern_edge];
+}
+
+Binding PivotBatch::SeedBinding(const PivotTask& task) const {
+  const Pattern& pattern = sigma_[task.ngd_index].pattern();
+  const PatternEdge& pe = pattern.edge(task.pattern_edge);
+  const EffectiveUpdate& u = index_.updates()[task.update_index];
+  Binding binding(pattern.NumNodes(), kInvalidNode);
+  binding[pe.src] = u.edge.src;
+  binding[pe.dst] = u.edge.dst;
+  return binding;
+}
+
+void PivotBatch::Expand(const PivotTask& task, const ResumePoint& at,
+                        Binding* binding, const PivotHooks& hooks,
+                        DeltaVio* out) const {
+  const Ngd& ngd = sigma_[task.ngd_index];
+  const UpdateKind kind = index_.updates()[task.update_index].kind;
+  const DeltaView* dv = dv_.has_value() ? &*dv_ : nullptr;
+  PivotEdgeFilter filter(dv, &index_, kind, task.update_index);
+  SearchConfig cfg;
+  cfg.graph = &g_;
+  cfg.delta_view = dv;
+  cfg.pattern = &ngd.pattern();
+  cfg.x = &ngd.X();
+  cfg.y = &ngd.Y();
+  cfg.view = kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
+  cfg.edge_filter = &filter;
+  cfg.node_scope = hooks.node_scope;
+  cfg.find_violations = true;
+  cfg.cancel = hooks.cancel;
+  cfg.handoff = hooks.handoff;
+
+  VioSet& target = kind == UpdateKind::kInsert ? out->added : out->removed;
+  auto emit = [&](const Binding& match) {
+    // Minimal-pivot canonicality already guarantees exactly-once emission
+    // per match per update kind (and disjoint slice splits keep that one
+    // emission on a single worker); the checked insert's hash probe
+    // would only re-prove it.
+    if (IsCanonicalPivot(dv, ngd.pattern(), match, index_, kind,
+                         task.update_index, task.pattern_edge)) {
+      target.AppendUnchecked(task.ngd_index, match.data(), match.size());
+    }
+    return true;
+  };
+  // A fresh pivot validates its seeds; split and child units have already
+  // passed that check.
+  const MatchPlan& plan = Plan(task);
+  if (at.step == 0 && !at.sliced()) {
+    RunSeededSearch(cfg, plan, binding, emit);
+  } else {
+    ResumeSearch(cfg, plan, at, binding, emit);
+  }
 }
 
 namespace {
@@ -239,47 +264,16 @@ namespace {
 /// RunMinimized, already minimized) Σ.
 DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
                       const UpdateBatch& batch, const IncDectOptions& opts) {
-  UpdateIndex index(g, batch);
-  std::vector<PivotTask> tasks = EnumeratePivotTasks(g, sigma, index);
-
-  std::optional<AffectedArea> area;
-  if (opts.affected_area_prefilter) area.emplace(g, sigma, index);
-
-  // Backend: live overlay graph, or DeltaView over the base snapshot
-  // (owned when the caller does not maintain one across batches).
-  std::optional<GraphSnapshot> owned_base;
-  std::optional<DeltaView> dv;
-  if (ResolveDeltaView(g, index, tasks, opts.snapshot_mode,
-                       opts.base_snapshot != nullptr)) {
-    const GraphSnapshot* base = opts.base_snapshot;
-    if (base == nullptr) {
-      owned_base.emplace(g, GraphView::kOld);
-      base = &*owned_base;
-    }
-    dv.emplace(*base, g, batch);
-  }
-  const DeltaView* delta_view = dv.has_value() ? &*dv : nullptr;
-
-  // Plan cache: one expansion order per (NGD, pattern edge) seed pair.
-  std::unordered_map<int64_t, MatchPlan> plans;
-  auto plan_for = [&](int f, int p) -> const MatchPlan& {
-    int64_t key = (static_cast<int64_t>(f) << 32) | static_cast<uint32_t>(p);
-    auto it = plans.find(key);
-    if (it != plans.end()) return it->second;
-    const Ngd& ngd = sigma[f];
-    const PatternEdge& pe = ngd.pattern().edge(p);
-    std::vector<int> seeds{pe.src};
-    if (pe.dst != pe.src) seeds.push_back(pe.dst);
-    MatchPlan plan =
-        BuildMatchPlan(ngd.pattern(), std::move(seeds), &ngd.X(), &ngd.Y());
-    return plans.emplace(key, std::move(plan)).first->second;
-  };
+  const PivotBatch pivots(g, sigma, batch, opts.snapshot_mode,
+                          opts.base_snapshot);
+  const std::vector<PivotTask>& tasks = pivots.tasks();
 
   DetectRunInfo local_info;
   DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
   info->StartFull(sigma.size());
   CancelCheck check(opts.cancel, opts.deadline);
-  CancelCheck* cancel = check.active() ? &check : nullptr;
+  PivotHooks hooks;
+  hooks.cancel = check.active() ? &check : nullptr;
 
   DeltaVio delta;
   if (opts.spill != nullptr) delta.EnableSpill(*opts.spill);
@@ -292,52 +286,13 @@ DeltaVio IncDectRules(const Graph& g, const NgdSet& sigma,
     }
   };
   for (size_t t = 0; t < tasks.size(); ++t) {
-    const PivotTask& task = tasks[t];
-    if (cancel != nullptr && cancel->ShouldStop()) {
+    if (hooks.cancel != nullptr && hooks.cancel->ShouldStop()) {
       mark_truncated_from(t);
       break;
     }
-    if (area.has_value() && !area->RuleCanMatch(task.ngd_index)) continue;
-    const Ngd& ngd = sigma[task.ngd_index];
-    const EffectiveUpdate& u = index.updates()[task.update_index];
-    const PatternEdge& pe = ngd.pattern().edge(task.pattern_edge);
-
-    PivotEdgeFilter filter(delta_view, &index, u.kind, task.update_index);
-    SearchConfig cfg;
-    cfg.graph = &g;
-    cfg.delta_view = delta_view;
-    cfg.pattern = &ngd.pattern();
-    cfg.x = &ngd.X();
-    cfg.y = &ngd.Y();
-    cfg.view =
-        u.kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
-    cfg.edge_filter = &filter;
-    cfg.node_scope =
-        area.has_value() ? area->ScopeOf(task.ngd_index) : nullptr;
-    cfg.find_violations = true;
-    cfg.cancel = cancel;
-
-    Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-    binding[pe.src] = u.edge.src;
-    binding[pe.dst] = u.edge.dst;
-
-    VioSet& target =
-        u.kind == UpdateKind::kInsert ? delta.added : delta.removed;
-    RunSeededSearch(cfg, plan_for(task.ngd_index, task.pattern_edge),
-                    &binding, [&](const Binding& match) {
-                      if (IsCanonicalPivot(delta_view, ngd.pattern(), match,
-                                           index, u.kind, task.update_index,
-                                           task.pattern_edge)) {
-                        // Minimal-pivot canonicality already guarantees
-                        // exactly-once emission per match per update
-                        // kind; the checked insert's hash probe would
-                        // only re-prove it.
-                        target.AppendUnchecked(task.ngd_index, match.data(),
-                                               match.size());
-                      }
-                      return true;
-                    });
-    if (cancel != nullptr && cancel->Stopped()) {
+    Binding binding = pivots.SeedBinding(tasks[t]);
+    pivots.Expand(tasks[t], ResumePoint{}, &binding, hooks, &delta);
+    if (hooks.cancel != nullptr && hooks.cancel->Stopped()) {
       mark_truncated_from(t);
       break;
     }

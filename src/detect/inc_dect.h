@@ -19,8 +19,9 @@
 //      match; expansion additionally refuses update edges with index < j,
 //      so each violation is enumerated exactly once across all pivots.
 //
-// The pieces (UpdateIndex, pivot tasks, filters, canonicality) are exposed
-// so PIncDect can distribute the same work units across processors.
+// PivotBatch holds the per-batch setup both IncDect and PIncDect run on
+// (UpdateIndex, pivot tasks, backend, plans), so PIncDect distributes the
+// same work units across processors.
 
 #ifndef NGD_DETECT_INC_DECT_H_
 #define NGD_DETECT_INC_DECT_H_
@@ -61,36 +62,6 @@ class UpdateIndex {
   EdgeMap<int> delete_index_;
 };
 
-/// Rejects update edges with pivot order below the current pivot, so each
-/// match is reached from its minimal update edge only. Ranking only ever
-/// concerns *update* edges: with a DeltaView backend (`dv` set) anything
-/// outside its delta spans is a base edge and is admitted with one CSR
-/// span check — no hash probe — and only genuine delta entries (a
-/// |ΔG|-sized minority of everything a search touches) pay the
-/// UpdateIndex lookup. `dv == nullptr` means the live graph.
-class PivotEdgeFilter : public EdgeFilter {
- public:
-  PivotEdgeFilter(const DeltaView* dv, const UpdateIndex* index,
-                  UpdateKind kind, int pivot_index)
-      : dv_(dv), index_(index), kind_(kind), pivot_index_(pivot_index) {}
-
-  bool Admit(int /*pattern_edge*/, NodeId src, NodeId dst,
-             LabelId label) const override {
-    if (dv_ != nullptr &&
-        !dv_->IsDeltaEdge(kind_ == UpdateKind::kInsert, src, dst, label)) {
-      return true;
-    }
-    auto i = index_->IndexOf(kind_, EdgeKey{src, dst, label});
-    return !i.has_value() || *i >= pivot_index_;
-  }
-
- private:
-  const DeltaView* dv_;
-  const UpdateIndex* index_;
-  UpdateKind kind_;
-  int pivot_index_;
-};
-
 /// One unit of update-driven work: expand pivot hup(u,u') = (v,v') where
 /// pattern edge `pattern_edge` of NGD `ngd_index` matches effective update
 /// `update_index`.
@@ -123,43 +94,6 @@ bool IsCanonicalPivot(const DeltaView* dv, const Pattern& pattern,
 /// paper's §6 preliminaries make the same connectivity assumption).
 Status ValidateForIncremental(const NgdSet& sigma);
 
-/// Affected-area prefilter (the localizability of paper §6.1 made
-/// actionable before any pivot spawns): per rule Q, the d_Q-ball around
-/// ΔG's endpoints — over the union of both views, so it bounds ΔVio+ and
-/// ΔVio- searches alike — intersected with the label→nodes candidate
-/// arrays. A rule whose ball lacks a candidate for some non-wildcard
-/// pattern-node label cannot complete any match, so all its pivot tasks
-/// are skipped; rules that survive get their ball as the search's node
-/// scope. Balls are shared across rules of equal diameter.
-///
-/// The prefilter must never cost more than the localized searches it
-/// guards, so ball extraction is budgeted: once a ball's BFS has visited
-/// max(256, |V|/8) nodes it is abandoned as "unbounded" — ΔG saturates
-/// the graph at that diameter, nothing would be pruned anyway — and the
-/// affected rules run unscoped, exactly as with the prefilter off. Large
-/// batches therefore pay O(budget) for the prefilter, small batches on
-/// large graphs (the production regime) get real pruning.
-class AffectedArea {
- public:
-  AffectedArea(const Graph& g, const NgdSet& sigma, const UpdateIndex& index);
-
-  /// d_Q-ball for rule `ngd_index` as a search scope, or nullptr when the
-  /// ball exceeded the budget (valid while this object lives).
-  const NodeSet* ScopeOf(int ngd_index) const {
-    const int b = ball_of_rule_[ngd_index];
-    return bounded_[b] ? &balls_[b] : nullptr;
-  }
-  /// False when some non-wildcard pattern-node label of the rule has no
-  /// candidate inside its (bounded) ball.
-  bool RuleCanMatch(int ngd_index) const { return rule_can_match_[ngd_index]; }
-
- private:
-  std::vector<NodeSet> balls_;   // one per distinct pattern diameter
-  std::vector<bool> bounded_;    // per ball: finished within budget
-  std::vector<int> ball_of_rule_;
-  std::vector<bool> rule_can_match_;
-};
-
 /// Incremental-engine options; the shared contract (Σ-minimization,
 /// cancel/deadline, run_info, spill) is DetectControl. Under
 /// minimization dropped rules spawn no pivot tasks, and since per-rule
@@ -171,9 +105,9 @@ struct IncDectOptions : DetectControl {
   ///             kept as the equivalence oracle and benchmark baseline);
   ///   kAlways — match a DeltaView (base CSR snapshot ⊕ ΔG);
   ///   kAuto   — use the DeltaView when `base_snapshot` is provided (the
-  ///             build is already paid), else when the cost model
-  ///             (WantDeltaView) expects the pivot searches to amortize
-  ///             an owned base-snapshot build.
+  ///             build is already paid), else when PivotBatch's cost
+  ///             model expects the pivot searches to amortize an owned
+  ///             base-snapshot build.
   SnapshotMode snapshot_mode = SnapshotMode::kAuto;
   /// Optional pre-built snapshot of the base graph G — GraphView::kOld of
   /// `g`, or a snapshot taken before the batch was applied. When null the
@@ -182,23 +116,57 @@ struct IncDectOptions : DetectControl {
   /// refresh of the nodes the last Commit touched. Passing one saves
   /// only that refresh.
   const GraphSnapshot* base_snapshot = nullptr;
-  /// Enable the AffectedArea prefilter + per-rule search scope. Off
-  /// reproduces the pre-prefilter engine exactly (the oracle config).
-  bool affected_area_prefilter = true;
 };
 
-/// The kAuto cost model: true when the depth-1 frontier the pivot tasks
-/// would stream (a lower bound on the live engine's scan volume) already
-/// exceeds a small multiple of what the O(|V| + |E|) base-snapshot build
-/// streams.
-bool WantDeltaView(const Graph& g, const UpdateIndex& index,
-                   const std::vector<PivotTask>& tasks);
+/// What an engine adds to each pivot search; every field is optional.
+struct PivotHooks {
+  CancelCheck* cancel = nullptr;
+  const NodeSet* node_scope = nullptr;  ///< PIncDect: N_C
+  StepHandoff* handoff = nullptr;       ///< PIncDect: splits, child units
+};
 
-/// Resolves IncDectOptions to a concrete use-the-DeltaView decision.
-/// Shared by IncDect and PIncDect so both engines make the same choice.
-bool ResolveDeltaView(const Graph& g, const UpdateIndex& index,
-                      const std::vector<PivotTask>& tasks, SnapshotMode mode,
-                      bool base_snapshot_provided);
+/// The per-batch setup IncDect and PIncDect share: the UpdateIndex, the
+/// pivot tasks, the backend (the live overlay graph, or a DeltaView over
+/// the base snapshot, owned when the caller passes none) and one match
+/// plan per (rule, pattern edge) that some task seeds. Built once per
+/// batch and immutable afterwards, so PIncDect's workers expand units
+/// through one instance concurrently. `g` must carry `batch` as its
+/// pending overlay for the object's lifetime.
+class PivotBatch {
+ public:
+  /// `mode` and `base_snapshot` are IncDectOptions' fields of that name.
+  PivotBatch(const Graph& g, const NgdSet& sigma, const UpdateBatch& batch,
+             SnapshotMode mode, const GraphSnapshot* base_snapshot);
+  PivotBatch(const PivotBatch&) = delete;
+  PivotBatch& operator=(const PivotBatch&) = delete;
+
+  const UpdateIndex& index() const { return index_; }
+  const std::vector<PivotTask>& tasks() const { return tasks_; }
+  const MatchPlan& Plan(const PivotTask& task) const;
+
+  /// The task's seed binding: the pivot pattern edge's endpoints bound to
+  /// the update edge's, every other pattern node unbound.
+  Binding SeedBinding(const PivotTask& task) const;
+
+  /// Expands one pivot: a fresh one from SeedBinding when `at` is the
+  /// default ResumePoint, else a unit a StepHandoff split or spawned,
+  /// resumed at `at`. Appends each match whose minimal update incidence
+  /// is this pivot to out->added (insert pivots) or out->removed (delete
+  /// pivots), so every ΔVio entry is emitted once across all pivots.
+  void Expand(const PivotTask& task, const ResumePoint& at, Binding* binding,
+              const PivotHooks& hooks, DeltaVio* out) const;
+
+ private:
+  const Graph& g_;
+  const NgdSet& sigma_;
+  UpdateIndex index_;
+  std::vector<PivotTask> tasks_;
+  std::optional<GraphSnapshot> owned_base_;
+  std::optional<DeltaView> dv_;
+  /// plans_[plan_offset_[f] + p] for pattern edge p of rule f.
+  std::vector<size_t> plan_offset_;
+  std::vector<std::optional<MatchPlan>> plans_;
+};
 
 /// Computes ΔVio(Σ, G, ΔG). `g` must carry ΔG as its pending overlay
 /// (apply via ApplyUpdateBatch before calling; Commit afterwards).

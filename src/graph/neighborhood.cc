@@ -31,10 +31,4 @@ NodeSet DHopNeighborhood(const Graph& g, const std::vector<NodeId>& seeds,
   return set;
 }
 
-size_t NeighborhoodAdjSize(const Graph& g, const NodeSet& set) {
-  size_t total = 0;
-  for (NodeId v : set.members()) total += g.AdjSize(v);
-  return total;
-}
-
 }  // namespace ngd

@@ -44,9 +44,6 @@ class NodeSet {
 NodeSet DHopNeighborhood(const Graph& g, const std::vector<NodeId>& seeds,
                          int d, GraphView view);
 
-/// Total adjacency size of the set (the |G_dΣ(ΔG)| cost measure).
-size_t NeighborhoodAdjSize(const Graph& g, const NodeSet& set);
-
 }  // namespace ngd
 
 #endif  // NGD_GRAPH_NEIGHBORHOOD_H_

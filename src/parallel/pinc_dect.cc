@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
-#include <unordered_map>
 
 #include "graph/neighborhood.h"
 #include "util/timer.h"
@@ -24,50 +22,24 @@ class PIncDectEngine {
                  const UpdateBatch& batch, const PIncDectOptions& opts)
       : g_(g),
         sigma_(sigma),
-        batch_(batch),
         opts_(opts),
         p_(std::max(1, opts.num_processors)),
-        index_(g, batch),
+        pivots_(g, sigma, batch, opts.snapshot_mode, opts.base_snapshot),
         nc_(0),
         pool_(p_, &metrics_, /*enable_steal=*/false, opts.max_queue_depth),
         run_(p_, sigma.size(), opts) {}
 
-  /// Runs on a validated Σ (PIncDect validates before minimizing).
+  /// Runs on a validated Σ (PIncDect validates before minimizing). Step
+  /// 1, the pivots with their backend and plans, is pivots_: the setup
+  /// IncDect runs on, built by the constructor. The base snapshot and the
+  /// DeltaView over it are immutable, so all p processors share them
+  /// read-only; they count as replicated state, like N_C.
   PIncDectResult Run() {
-    WallTimer timer;
-
-    // Step 1: pivots, prefiltered by the per-rule affected area (rules
-    // whose d_Q-ball cannot supply every pattern-node label spawn no
-    // work units at all).
-    std::vector<PivotTask> tasks = EnumeratePivotTasks(g_, sigma_, index_);
-    std::optional<AffectedArea> area;
-    if (opts_.affected_area_prefilter) {
-      area.emplace(g_, sigma_, index_);
-      tasks.erase(std::remove_if(tasks.begin(), tasks.end(),
-                                 [&](const PivotTask& t) {
-                                   return !area->RuleCanMatch(t.ngd_index);
-                                 }),
-                  tasks.end());
-    }
-
-    // Backend: the same resolution as IncDect. The base snapshot (and
-    // the DeltaView over it) is immutable, so all p processors share it
-    // read-only — it counts as replicated state, like N_C below.
-    if (ResolveDeltaView(g_, index_, tasks, opts_.snapshot_mode,
-                         opts_.base_snapshot != nullptr)) {
-      const GraphSnapshot* base = opts_.base_snapshot;
-      if (base == nullptr) {
-        owned_base_.emplace(g_, GraphView::kOld);
-        base = &*owned_base_;
-      }
-      dv_.emplace(*base, g_, batch_);
-    }
-
     // Step 2: candidate neighborhood N_C(ΔG, Σ) = union of d_Σ-balls
     // around update endpoints, over the union of both views (safe for
     // ΔVio+ and ΔVio- searches alike), replicated at all processors.
     std::vector<NodeId> seeds;
-    for (const auto& u : index_.updates()) {
+    for (const auto& u : pivots_.index().updates()) {
       seeds.push_back(u.edge.src);
       seeds.push_back(u.edge.dst);
     }
@@ -79,33 +51,14 @@ class PIncDectEngine {
         static_cast<uint64_t>(nc_.size()) * (p_ > 1 ? p_ - 1 : 0);
     metrics_.messages += p_ > 1 ? p_ : 0;  // one broadcast round
 
-    // Plans per (NGD, pattern edge).
-    for (const PivotTask& t : tasks) {
-      int64_t key = PlanKey(t.ngd_index, t.pattern_edge);
-      if (plans_.count(key) > 0) continue;
-      const Ngd& ngd = sigma_[t.ngd_index];
-      const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
-      std::vector<int> plan_seeds{pe.src};
-      if (pe.dst != pe.src) plan_seeds.push_back(pe.dst);
-      plans_.emplace(key, BuildMatchPlan(ngd.pattern(), std::move(plan_seeds),
-                                         &ngd.X(), &ngd.Y()));
-    }
-
     // Step 3: partition the pivots round-robin across BVio_i (a free
     // initial placement: seeds are born, not sent).
+    const std::vector<PivotTask>& tasks = pivots_.tasks();
     for (size_t i = 0; i < tasks.size(); ++i) {
-      const PivotTask& t = tasks[i];
-      const Ngd& ngd = sigma_[t.ngd_index];
-      const EffectiveUpdate& u = index_.updates()[t.update_index];
-      const PatternEdge& pe = ngd.pattern().edge(t.pattern_edge);
       PWorkUnit unit;
-      unit.ngd_index = t.ngd_index;
-      unit.pattern_edge = t.pattern_edge;
-      unit.update_index = t.update_index;
-      unit.binding.assign(ngd.pattern().NumNodes(), kInvalidNode);
-      unit.binding[pe.src] = u.edge.src;
-      unit.binding[pe.dst] = u.edge.dst;
-      run_.AddPending(t.ngd_index);
+      unit.pivot = tasks[i];
+      unit.binding = pivots_.SeedBinding(tasks[i]);
+      run_.AddPending(tasks[i].ngd_index);
       pool_.Seed(static_cast<int>(i % p_), std::move(unit));
     }
 
@@ -135,17 +88,12 @@ class PIncDectEngine {
     result.delta = run_.MergeFinished();
     result.candidate_neighborhood_nodes = nc_.size();
     result.metrics = SnapshotOf(metrics_);
-    result.elapsed_seconds = timer.ElapsedSeconds();
+    result.elapsed_seconds = timer_.ElapsedSeconds();
     result.truncated = run_.FinishRunInfo();
     return result;
   }
 
  private:
-  static int64_t PlanKey(int ngd_index, int pattern_edge) {
-    return (static_cast<int64_t>(ngd_index) << 32) |
-           static_cast<uint32_t>(pattern_edge);
-  }
-
   void BalanceOnce() {
     std::vector<size_t> sizes = pool_.QueueSizes();
     std::vector<double> skew = ComputeSkewness(sizes);
@@ -220,72 +168,36 @@ class PIncDectEngine {
       return;  // dropped: the unit's pending count keeps its rule incomplete
     }
     metrics_.work_units.fetch_add(1, std::memory_order_relaxed);
-    const Ngd& ngd = sigma_[unit.ngd_index];
-    const MatchPlan& plan =
-        plans_.at(PlanKey(unit.ngd_index, unit.pattern_edge));
-    const EffectiveUpdate& u = index_.updates()[unit.update_index];
-    const DeltaView* delta_view = dv_.has_value() ? &*dv_ : nullptr;
-    PivotEdgeFilter filter(delta_view, &index_, u.kind, unit.update_index);
-    Handoff handoff(this, worker, unit, plan);
-    SearchConfig cfg;
-    cfg.graph = &g_;
-    cfg.delta_view = delta_view;
-    cfg.pattern = &ngd.pattern();
-    cfg.x = &ngd.X();
-    cfg.y = &ngd.Y();
-    cfg.view =
-        u.kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
-    cfg.edge_filter = &filter;
-    cfg.node_scope = &nc_;
-    cfg.cancel = check;
-    cfg.handoff = &handoff;
-
-    // Minimal-pivot canonicality emits each match exactly once per update
-    // kind, and disjoint slice splits keep that one emission on a single
-    // worker — the append never needs the hash probe.
-    DeltaVio& local = run_.local(worker);
-    VioSet& target =
-        u.kind == UpdateKind::kInsert ? local.added : local.removed;
-    auto emit = [&](const Binding& match) {
-      if (IsCanonicalPivot(delta_view, ngd.pattern(), match, index_, u.kind,
-                           unit.update_index, unit.pattern_edge)) {
-        target.AppendUnchecked(unit.ngd_index, match.data(), match.size());
-      }
-      return true;
-    };
-    // A fresh pivot unit validates its seeds; split and child units have
-    // already passed that check.
-    if (unit.at.step == 0 && !unit.at.sliced()) {
-      RunSeededSearch(cfg, plan, &unit.binding, emit);
-    } else {
-      ResumeSearch(cfg, plan, unit.at, &unit.binding, emit);
+    Handoff handoff(this, worker, unit, pivots_.Plan(unit.pivot));
+    PivotHooks hooks;
+    hooks.cancel = check;
+    hooks.node_scope = &nc_;
+    hooks.handoff = &handoff;
+    pivots_.Expand(unit.pivot, unit.at, &unit.binding, hooks,
+                   &run_.local(worker));
+    if (check == nullptr || !check->Stopped()) {
+      run_.Retire(unit.pivot.ngd_index);
     }
-    if (check == nullptr || !check->Stopped()) run_.Retire(unit.ngd_index);
   }
 
   /// A unit handed off from `parent` at `at`, counted pending.
   PWorkUnit MakeUnit(const PWorkUnit& parent, const ResumePoint& at,
                      const Binding& binding) {
     PWorkUnit unit;
-    unit.ngd_index = parent.ngd_index;
-    unit.pattern_edge = parent.pattern_edge;
-    unit.update_index = parent.update_index;
+    unit.pivot = parent.pivot;
     unit.at = at;
     unit.binding = binding;
-    run_.AddPending(unit.ngd_index);
+    run_.AddPending(unit.pivot.ngd_index);
     return unit;
   }
 
   const Graph& g_;
   const NgdSet& sigma_;
-  const UpdateBatch& batch_;
   const PIncDectOptions opts_;
   const int p_;
-  UpdateIndex index_;
-  std::optional<GraphSnapshot> owned_base_;
-  std::optional<DeltaView> dv_;
+  const WallTimer timer_;  // started before pivots_ is built
+  const PivotBatch pivots_;
   NodeSet nc_;
-  std::unordered_map<int64_t, MatchPlan> plans_;
   ClusterMetrics metrics_;
   WorkStealingPool<PWorkUnit> pool_;
   ParallelRun<DeltaVio> run_;

@@ -2,7 +2,8 @@
 // IncDect (paper §6.3, Theorem 6).
 //
 // Pipeline (mirroring Fig. 3):
-//   1. Enumerate update pivots (same PivotTask machinery as IncDect).
+//   1. Enumerate update pivots, pick the backend and build the plans:
+//      IncDect's PivotBatch, so both engines run the same setup.
 //   2. Extract the candidate neighborhood N_C(ΔG, Σ) — the union of
 //      d_Σ-balls around pivot endpoints — and "replicate" it at all p
 //      processors (simulated; replication volume is metered).
@@ -54,9 +55,6 @@ struct PIncDectOptions : DetectControl {
   /// shared read-only by all simulated processors and reused across
   /// batches by callers that maintain one per commit epoch.
   const GraphSnapshot* base_snapshot = nullptr;
-  /// AffectedArea prefilter: skip every pivot task of a rule whose
-  /// d_Q-ball around ΔG lacks candidates for some pattern-node label.
-  bool affected_area_prefilter = true;
   /// Communication-latency constant C of the cost model (paper fixes 60).
   double latency_c = 60.0;
   /// Balancer wake-up interval in milliseconds (paper: 45 s at cluster

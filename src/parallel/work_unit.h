@@ -14,14 +14,13 @@
 #include <vector>
 
 #include "core/expr.h"
+#include "detect/inc_dect.h"
 #include "match/homomorphism.h"
 
 namespace ngd {
 
 struct PWorkUnit {
-  int32_t ngd_index = -1;
-  int32_t pattern_edge = -1;
-  int32_t update_index = -1;
+  PivotTask pivot;
   /// Where the unit re-enters the plan walk: the step, the anchor option
   /// and slice it was handed off on, and the literal state of its prefix.
   ResumePoint at;

@@ -1,7 +1,6 @@
 #include "util/failpoint.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 
@@ -34,15 +33,6 @@ Registry& Reg() {
   return *r;
 }
 
-bool ParseMode(std::string_view s, Mode* out) {
-  if (s == "short") return *out = Mode::kShortWrite, true;
-  if (s == "torn") return *out = Mode::kTornWrite, true;
-  if (s == "bitflip") return *out = Mode::kBitFlip, true;
-  if (s == "enospc") return *out = Mode::kEnospc, true;
-  if (s == "syncfail") return *out = Mode::kSyncFail, true;
-  return false;
-}
-
 }  // namespace
 
 const char* ModeName(Mode m) {
@@ -64,8 +54,6 @@ const char* ModeName(Mode m) {
 }
 
 void Enable(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void Reset() {
   Registry& r = Reg();
@@ -104,41 +92,6 @@ uint64_t Traversals() {
   Registry& r = Reg();
   MutexLock lock(&r.mu);
   return r.traversals;
-}
-
-bool ArmFromEnv() {
-  const char* env = std::getenv("NGD_FAILPOINTS");
-  if (env == nullptr || *env == '\0') return false;
-  std::string_view spec(env);
-  bool armed_any = false;
-  while (!spec.empty()) {
-    size_t comma = spec.find(',');
-    std::string_view entry =
-        comma == std::string_view::npos ? spec : spec.substr(0, comma);
-    spec = comma == std::string_view::npos ? std::string_view()
-                                           : spec.substr(comma + 1);
-    size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) continue;
-    std::string_view site = entry.substr(0, eq);
-    std::string_view rhs = entry.substr(eq + 1);
-    uint64_t count = 0;
-    size_t colon = rhs.find(':');
-    if (colon != std::string_view::npos) {
-      count = std::strtoull(std::string(rhs.substr(colon + 1)).c_str(),
-                            nullptr, 10);
-      rhs = rhs.substr(0, colon);
-    }
-    Mode mode;
-    if (!ParseMode(rhs, &mode) || site.empty()) continue;
-    if (site == "*") {
-      ArmNth(mode, count == 0 ? 1 : count);
-    } else {
-      // site=mode:N fires on the N-th hit of that site (first by default).
-      ArmSite(site, mode, count == 0 ? 0 : count - 1);
-    }
-    armed_any = true;
-  }
-  return armed_any;
 }
 
 Mode Hit(std::string_view site) {

@@ -1,5 +1,5 @@
-// Fault injection for the durability paths (update journal, snapshot and
-// fragment writers).
+// Fault injection for the durability paths (update journal, snapshot
+// writer, violation spill segments).
 //
 // An IO routine marks each place a crash or device fault could bite with
 // a named site:
@@ -13,13 +13,6 @@
 // sweep uses: run the workload once cleanly to count traversals, then
 // re-run it once per traversal index with a kill armed there, recover,
 // and compare against the oracle.
-//
-// The environment variable NGD_FAILPOINTS arms the registry without code
-// changes, e.g.:
-//
-//   NGD_FAILPOINTS="snapshot_write=torn"       fire at every hit of a site
-//   NGD_FAILPOINTS="wal_append=short:3"        fire at its 3rd hit
-//   NGD_FAILPOINTS="*=enospc:7"                fire at the 7th traversal
 //
 // Modes: short (partial write then simulated crash), torn (full-length
 // write with a zeroed tail, then crash), bitflip (single bit corrupted,
@@ -61,7 +54,6 @@ const char* ModeName(Mode m);
 
 /// Master switch. Off (default): Hit() returns kNone and does not count.
 void Enable(bool on);
-bool Enabled();
 
 /// Disarms everything, zeroes all counters, and disables the registry.
 void Reset();
@@ -78,11 +70,6 @@ void ArmNth(Mode mode, uint64_t n);
 /// run under Enable(true) with nothing armed yields the traversal count
 /// the kill-at-every-failpoint sweep iterates over.
 uint64_t Traversals();
-
-/// Parses NGD_FAILPOINTS (see header comment) and arms accordingly.
-/// Returns false (leaving the registry untouched) when the variable is
-/// unset or malformed.
-bool ArmFromEnv();
 
 /// Called by IO code at each site. Returns the mode to inject now, or
 /// kNone. A site-armed or nth-armed fault fires exactly once, then

@@ -1,24 +1,11 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <string>
 
 namespace ngd {
-
-std::vector<std::string> StrSplit(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
 
 std::string_view StripWhitespace(std::string_view s) {
   size_t b = 0;
@@ -26,16 +13,6 @@ std::string_view StripWhitespace(std::string_view s) {
   size_t e = s.size();
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::string StrJoin(const std::vector<std::string>& pieces,
-                    std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
 }
 
 std::optional<int64_t> ParseInt64(std::string_view s) {
@@ -47,10 +24,6 @@ std::optional<int64_t> ParseInt64(std::string_view s) {
   long long v = std::strtoll(buf.c_str(), &end, 10);
   if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
   return static_cast<int64_t>(v);
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 }  // namespace ngd

@@ -7,25 +7,14 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ngd {
-
-/// Splits on a single character; empty pieces are kept.
-std::vector<std::string> StrSplit(std::string_view s, char sep);
 
 /// Strips ASCII whitespace from both ends.
 std::string_view StripWhitespace(std::string_view s);
 
-/// Joins pieces with a separator.
-std::string StrJoin(const std::vector<std::string>& pieces,
-                    std::string_view sep);
-
 /// Parses a base-10 signed integer; rejects trailing garbage.
 std::optional<int64_t> ParseInt64(std::string_view s);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
 
 }  // namespace ngd
 

@@ -451,14 +451,6 @@ TEST_F(GraphTest, DHopNeighborhoodRespectsView) {
   EXPECT_TRUE(new_ball.Contains(c));
 }
 
-TEST_F(GraphTest, NeighborhoodAdjSize) {
-  LabelId l = schema_->InternLabel("e");
-  NodeId a = g_.AddNode("a"), b = g_.AddNode("b");
-  ASSERT_TRUE(g_.AddEdge(a, b, l).ok());
-  NodeSet all = DHopNeighborhood(g_, {a}, 1, GraphView::kNew);
-  EXPECT_EQ(NeighborhoodAdjSize(g_, all), 2u);  // one edge seen from both
-}
-
 // ---- Text I/O ---------------------------------------------------------------
 
 TEST(GraphIoTest, RoundTrip) {

@@ -141,25 +141,11 @@ CaseOutcome RunCase(uint64_t seed) {
   // Oracle: the pre-DeltaView sequential engine, byte-for-byte.
   IncDectOptions oracle_opts;
   oracle_opts.snapshot_mode = SnapshotMode::kNever;
-  oracle_opts.affected_area_prefilter = false;
   auto oracle = IncDect(*g, sigma, batch, oracle_opts);
   EXPECT_TRUE(oracle.ok()) << repro << ": " << oracle.status().ToString();
   if (!oracle.ok()) return {};
   ExpectSameVioSet(after, ApplyDelta(before, *oracle), sigma,
                    "live IncDect vs batch Dect", repro);
-
-  // Live sequential with the prefilter on: same ΔVio, less work.
-  {
-    IncDectOptions o;
-    o.snapshot_mode = SnapshotMode::kNever;
-    auto d = IncDect(*g, sigma, batch, o);
-    EXPECT_TRUE(d.ok()) << repro;
-    if (!d.ok()) return {};
-    ExpectSameVioSet(oracle->added, d->added, sigma,
-                     "live+prefilter ΔVio+", repro);
-    ExpectSameVioSet(oracle->removed, d->removed, sigma,
-                     "live+prefilter ΔVio-", repro);
-  }
 
   // DeltaView sequential.
   {
@@ -260,7 +246,6 @@ void RunStream(uint64_t seed) {
 
     IncDectOptions oracle_opts;
     oracle_opts.snapshot_mode = SnapshotMode::kNever;
-    oracle_opts.affected_area_prefilter = false;
     auto oracle = IncDect(*g, sigma, batch, oracle_opts);
     ASSERT_TRUE(oracle.ok()) << repro << ": " << oracle.status().ToString();
     {

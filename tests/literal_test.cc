@@ -93,20 +93,6 @@ TEST_F(LiteralTest, UnboundVariableIsNotReady) {
   EXPECT_EQ(lit.Evaluate(g_, partial), Truth::kNotReady);
 }
 
-TEST_F(LiteralTest, EvaluateAllConjunction) {
-  Literal t(Expr::Var(0, a_), CmpOp::kLt, Expr::Var(1, a_));  // true
-  Literal f(Expr::Var(0, a_), CmpOp::kGt, Expr::Var(1, a_));  // false
-  EXPECT_EQ(EvaluateAll({t, t}, g_, binding_), Truth::kTrue);
-  EXPECT_EQ(EvaluateAll({t, f}, g_, binding_), Truth::kFalse);
-  EXPECT_EQ(EvaluateAll({}, g_, binding_), Truth::kTrue);  // empty = true
-  Binding partial = {v0_, kInvalidNode};
-  Literal nr(Expr::Var(1, a_), CmpOp::kEq, Expr::IntConst(8));
-  // A bound-false literal short-circuits even with not-ready ones present.
-  Literal bound_false(Expr::Var(0, a_), CmpOp::kGt, Expr::IntConst(100));
-  EXPECT_EQ(EvaluateAll({bound_false, nr}, g_, partial), Truth::kFalse);
-  EXPECT_EQ(EvaluateAll({nr}, g_, partial), Truth::kNotReady);
-}
-
 TEST_F(LiteralTest, NegateCmpOpInvolution) {
   for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
                    CmpOp::kGe}) {

@@ -316,14 +316,6 @@ TEST(RationalDeathTest, GuardsStayActiveInReleaseBuilds) {
 
 // ---- String helpers ---------------------------------------------------------
 
-TEST(StringUtilTest, StrSplit) {
-  auto parts = StrSplit("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(StrSplit("", ',').size(), 1u);
-}
-
 TEST(StringUtilTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("  x y \t\n"), "x y");
   EXPECT_EQ(StripWhitespace("   "), "");
@@ -334,12 +326,6 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_EQ(ParseInt64(" -7 ").value(), -7);
   EXPECT_FALSE(ParseInt64("12x").has_value());
   EXPECT_FALSE(ParseInt64("").has_value());
-}
-
-TEST(StringUtilTest, JoinAndStartsWith) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_TRUE(StartsWith("ngdlib", "ngd"));
-  EXPECT_FALSE(StartsWith("ng", "ngd"));
 }
 
 }  // namespace

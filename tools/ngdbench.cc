@@ -230,13 +230,12 @@ UpdateBatch MakeBatch(Graph* g, double fraction, uint64_t seed) {
 
 // The incremental engine configurations every series shares, so they all
 // measure the same engines. "Live" is the pre-DeltaView baseline (the
-// differential-test oracle): the live overlay without the affected-area
-// prefilter. The delta-view engines reuse a base snapshot (kOld) the caller
-// maintains across batches, so its build stays outside the timed region.
+// differential-test oracle): pivot searches on the live overlay graph. The
+// delta-view engines reuse a base snapshot (kOld) the caller maintains
+// across batches, so its build stays outside the timed region.
 IncDectOptions LiveIncOptions() {
   IncDectOptions o;
   o.snapshot_mode = SnapshotMode::kNever;
-  o.affected_area_prefilter = false;
   return o;
 }
 
@@ -252,7 +251,6 @@ PIncDectOptions LivePIncOptions(int processors) {
   o.num_processors = processors;
   o.balance_interval_ms = 5;  // scaled intvl (EXPERIMENTS.md §1)
   o.snapshot_mode = SnapshotMode::kNever;
-  o.affected_area_prefilter = false;
   return o;
 }
 
@@ -303,7 +301,6 @@ Status RunIncEngine(std::string_view engine, const Graph& g,
   if (engine == "PIncDect_dv") {
     pinc.snapshot_mode = SnapshotMode::kAlways;
     pinc.base_snapshot = base;
-    pinc.affected_area_prefilter = true;
   }
   pinc.enable_split = engine != "PIncDect_ns" && engine != "PIncDect_NO";
   pinc.enable_balance = engine != "PIncDect_nb" && engine != "PIncDect_NO";
@@ -641,7 +638,7 @@ struct PanelPoint {
   double fraction = 0.15;  ///< |ΔG| / |E|
   uint64_t batch_seed = 0;
   /// p, C and intvl, and for (a)-(l) the historical Fig. 4 engine: the
-  /// live overlay without the prefilter. RunIncEngine applies the variant.
+  /// live overlay. RunIncEngine applies the variant.
   PIncDectOptions pinc = LivePIncOptions(4);
   std::vector<const char*> engines;
   PointResult result;

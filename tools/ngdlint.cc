@@ -3,9 +3,8 @@
 //
 //   failpoint-unarmed   every NGD_FAILPOINT("site") marker in src/ must
 //                       be armed by at least one test under tests/ (an
-//                       ArmSite call or an NGD_FAILPOINTS env string
-//                       naming the site). A failpoint no test fires is
-//                       untested crash handling.
+//                       ArmSite call naming the site). A failpoint no
+//                       test fires is untested crash handling.
 //   magic-duplicate /   each binary-format magic (NGDWAL1, NGDSNAP1,
 //   magic-missing       NGDVSEG1) must be defined exactly once
 //                       in src/ — a second copy is a fork of the format.
@@ -480,12 +479,8 @@ std::vector<Finding> LintTree(const std::string& root) {
     }
   }
   for (auto& [site, f] : sites) {
-    // Armed when a test names the site in an ArmSite call or an
-    // NGD_FAILPOINTS env string ("site=mode").
-    if (tests_corpus.find("\"" + site + "\"") != std::string::npos ||
-        tests_corpus.find(site + "=") != std::string::npos) {
-      continue;
-    }
+    // Armed when a test names the site in an ArmSite call.
+    if (tests_corpus.find("\"" + site + "\"") != std::string::npos) continue;
     f.message = "failpoint site \"" + site +
                 "\" is not armed by any test under tests/";
     out.push_back(f);
