@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "graph/delta_view.h"
-#include "graph/snapshot.h"
+#include "core/expr_eval.h"
+#include "graph/accessor.h"
 
 namespace ngd {
 
@@ -142,78 +142,11 @@ void Expr::CollectVars(std::vector<int>* vars) const {
   }
 }
 
-namespace {
-
-/// Shared evaluation body; G supplies GetAttr(NodeId, AttrId) and is
-/// either the live Graph or a GraphSnapshot.
-template <typename G>
-EvalResult EvaluateImpl(const Expr& e, const G& g, const Binding& binding) {
-  switch (e.kind()) {
-    case Expr::Kind::kIntConst:
-      return EvalResult::Int(Rational(e.int_value()));
-    case Expr::Kind::kStrConst:
-      return EvalResult::Str(e.str_value());
-    case Expr::Kind::kVarAttr: {
-      int x = e.var_index();
-      if (x < 0 || static_cast<size_t>(x) >= binding.size() ||
-          binding[x] == kInvalidNode) {
-        return EvalResult::Unbound();
-      }
-      const Value* v = g.GetAttr(binding[x], e.attr());
-      if (v == nullptr) return EvalResult::Missing();
-      if (v->is_int()) return EvalResult::Int(Rational(v->AsInt()));
-      return EvalResult::Str(v->AsString());
-    }
-    case Expr::Kind::kNeg:
-    case Expr::Kind::kAbs: {
-      EvalResult l = EvaluateImpl(e.lhs(), g, binding);
-      if (l.tag == EvalResult::Tag::kUnbound) return l;
-      if (l.tag != EvalResult::Tag::kInt) return EvalResult::Missing();
-      return EvalResult::Int(e.kind() == Expr::Kind::kNeg ? -l.num
-                                                          : l.num.Abs());
-    }
-    default: {
-      EvalResult l = EvaluateImpl(e.lhs(), g, binding);
-      EvalResult r = EvaluateImpl(e.rhs(), g, binding);
-      // Unbound dominates Missing: the literal may still become evaluable
-      // once more variables are matched.
-      if (l.tag == EvalResult::Tag::kUnbound ||
-          r.tag == EvalResult::Tag::kUnbound) {
-        return EvalResult::Unbound();
-      }
-      if (l.tag != EvalResult::Tag::kInt || r.tag != EvalResult::Tag::kInt) {
-        return EvalResult::Missing();
-      }
-      switch (e.kind()) {
-        case Expr::Kind::kAdd:
-          return EvalResult::Int(l.num + r.num);
-        case Expr::Kind::kSub:
-          return EvalResult::Int(l.num - r.num);
-        case Expr::Kind::kMul:
-          return EvalResult::Int(l.num * r.num);
-        case Expr::Kind::kDiv:
-          if (r.num == Rational(0)) return EvalResult::Missing();
-          return EvalResult::Int(l.num / r.num);
-        default:
-          return EvalResult::Missing();
-      }
-    }
-  }
-}
-
-}  // namespace
-
-EvalResult Expr::Evaluate(const Graph& g, const Binding& binding) const {
-  return EvaluateImpl(*this, g, binding);
-}
-
-EvalResult Expr::Evaluate(const GraphSnapshot& g,
+EvalResult Expr::Evaluate(const GraphAccessor& g,
                           const Binding& binding) const {
-  return EvaluateImpl(*this, g, binding);
-}
-
-EvalResult Expr::Evaluate(const DeltaView& g, const Binding& binding) const {
-  return EvaluateImpl(*this, g, binding);
+  return g.Visit([&](const auto& backend) {
+    return internal::EvaluateImpl(*this, backend, binding);
+  });
 }
 
 std::string Expr::ToString(const std::vector<std::string>& var_names,

@@ -26,8 +26,7 @@
 
 namespace ngd {
 
-class GraphSnapshot;
-class DeltaView;
+class GraphAccessor;
 
 /// A (possibly partial) homomorphism: var index -> node id, kInvalidNode
 /// when the variable is not yet matched.
@@ -108,13 +107,9 @@ class Expr {
   /// Appends the distinct variable indices referenced, in first-use order.
   void CollectVars(std::vector<int>* vars) const;
 
-  /// Exact evaluation under the (partial) binding. The overloads differ
-  /// only in where x.A terms read attributes from: the live overlay
-  /// graph, an immutable CSR snapshot of one view, or a batch-update
-  /// delta view over a base snapshot.
-  EvalResult Evaluate(const Graph& g, const Binding& binding) const;
-  EvalResult Evaluate(const GraphSnapshot& g, const Binding& binding) const;
-  EvalResult Evaluate(const DeltaView& g, const Binding& binding) const;
+  /// Exact evaluation under the (partial) binding; x.A terms read their
+  /// attributes through `g`, whichever backend it wraps.
+  EvalResult Evaluate(const GraphAccessor& g, const Binding& binding) const;
 
   /// Renders with the given variable names (pattern-provided) and schema
   /// attribute names.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/expr_eval.h"
+#include "graph/accessor.h"
+
 namespace ngd {
 
 const char* CmpOpName(CmpOp op) {
@@ -66,28 +69,7 @@ void Literal::CollectVars(std::vector<int>* vars) const {
 namespace {
 
 /// Compares two evaluated sides under `op` (the type/missing discipline
-/// of paper §3); shared by all backend overloads.
-Truth CompareResults(const EvalResult& l, const EvalResult& r, CmpOp op);
-
-}  // namespace
-
-Truth Literal::Evaluate(const Graph& g, const Binding& binding) const {
-  return CompareResults(lhs_.Evaluate(g, binding), rhs_.Evaluate(g, binding),
-                        op_);
-}
-
-Truth Literal::Evaluate(const GraphSnapshot& g, const Binding& binding) const {
-  return CompareResults(lhs_.Evaluate(g, binding), rhs_.Evaluate(g, binding),
-                        op_);
-}
-
-Truth Literal::Evaluate(const DeltaView& g, const Binding& binding) const {
-  return CompareResults(lhs_.Evaluate(g, binding), rhs_.Evaluate(g, binding),
-                        op_);
-}
-
-namespace {
-
+/// of paper §3).
 Truth CompareResults(const EvalResult& l, const EvalResult& r, CmpOp op) {
   if (l.tag == EvalResult::Tag::kUnbound ||
       r.tag == EvalResult::Tag::kUnbound) {
@@ -135,6 +117,14 @@ Truth CompareResults(const EvalResult& l, const EvalResult& r, CmpOp op) {
 }
 
 }  // namespace
+
+Truth Literal::Evaluate(const GraphAccessor& g, const Binding& binding) const {
+  return g.Visit([&](const auto& backend) {
+    return CompareResults(internal::EvaluateImpl(lhs_, backend, binding),
+                          internal::EvaluateImpl(rhs_, backend, binding),
+                          op_);
+  });
+}
 
 std::string Literal::ToString(const std::vector<std::string>& var_names,
                               const Dictionary& attr_dict) const {

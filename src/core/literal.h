@@ -50,12 +50,9 @@ class Literal {
   void CollectVars(std::vector<int>* vars) const;
 
   /// Three-valued evaluation under a partial binding. kFalse includes the
-  /// attribute-missing and type-mismatch cases (condition (a)). The
-  /// snapshot / delta-view overloads read attributes from those backends
-  /// instead of the live overlay graph.
-  Truth Evaluate(const Graph& g, const Binding& binding) const;
-  Truth Evaluate(const GraphSnapshot& g, const Binding& binding) const;
-  Truth Evaluate(const DeltaView& g, const Binding& binding) const;
+  /// attribute-missing and type-mismatch cases (condition (a)). Both sides
+  /// read attributes through `g`, which picks its backend once per call.
+  Truth Evaluate(const GraphAccessor& g, const Binding& binding) const;
 
   std::string ToString(const std::vector<std::string>& var_names,
                        const Dictionary& attr_dict) const;

@@ -1,6 +1,5 @@
 #include "detect/dect.h"
 
-#include <algorithm>
 #include <optional>
 
 namespace ngd {
@@ -56,6 +55,8 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
     owned_snap.emplace(g, opts.view);
     snap = &*owned_snap;
   }
+  const GraphAccessor graph =
+      snap != nullptr ? GraphAccessor(*snap) : GraphAccessor(g, opts.view);
   DetectRunInfo local_info;
   DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
   info->StartFull(sigma.size());
@@ -73,12 +74,10 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
     }
     const Ngd& ngd = sigma[f];
     SearchConfig cfg;
-    cfg.graph = &g;
-    cfg.snapshot = snap;
+    cfg.graph = graph;
     cfg.pattern = &ngd.pattern();
     cfg.x = &ngd.X();
     cfg.y = &ngd.Y();
-    cfg.view = opts.view;
     cfg.find_violations = true;
     cfg.cancel = cancel;
     std::optional<VioEmitter> emitter;
@@ -87,7 +86,7 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
                       opts.max_violations_per_ngd);
       cfg.emitter = &*emitter;
     }
-    const int start = ChooseStartNode(ngd.pattern(), cfg.MakeAccessor());
+    const int start = ChooseStartNode(ngd.pattern(), graph);
     const MatchPlan plan =
         BuildMatchPlan(ngd.pattern(), {start}, &ngd.X(), &ngd.Y());
     const bool completed = RunBatchSearchWithPlan(
@@ -105,90 +104,29 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
   }
 }
 
-/// Regime probe for the kAuto cost model: samples a few seed expansions
-/// on the live graph and counts the violations they emit. When emission
-/// dominates (violation-dense graphs), matching speed is not the
-/// bottleneck and the O(|E|) snapshot build is pure overhead — the live
-/// engine wins. The probe is bounded: at most kProbeRules rules (spread
-/// across Σ), kProbeSeeds seed candidates each, and it stops the moment
-/// kProbeMatchCap violations are seen (already decisively dense). Work
-/// done here is a small prefix of what the live engine would do anyway,
-/// and it only runs once the seed-volume test has said "big sweep".
-bool EmissionDominated(const Graph& g, const NgdSet& sigma, GraphView view) {
-  constexpr size_t kProbeRules = 4;
-  constexpr size_t kProbeSeeds = 4;
-  constexpr size_t kProbeMatchCap = 256;
-  // Dense ⇔ sampled violations ≥ kDensePerSeed per probed seed.
-  constexpr size_t kDensePerSeed = 4;
-
-  const GraphAccessor acc(g, view);
-  const size_t stride = std::max<size_t>(1, sigma.size() / kProbeRules);
-  size_t seeds_probed = 0;
-  size_t violations = 0;
-  for (size_t f = 0; f < sigma.size() && violations < kProbeMatchCap;
-       f += stride) {
-    const Ngd& ngd = sigma[f];
-    SearchConfig cfg;
-    cfg.graph = &g;
-    cfg.pattern = &ngd.pattern();
-    cfg.x = &ngd.X();
-    cfg.y = &ngd.Y();
-    cfg.view = view;
-    cfg.find_violations = true;
-    const int start = ChooseStartNode(ngd.pattern(), acc);
-    const MatchPlan plan =
-        BuildMatchPlan(ngd.pattern(), {start}, &ngd.X(), &ngd.Y());
-    Binding binding(ngd.pattern().NumNodes(), kInvalidNode);
-    size_t rule_seeds = 0;
-    acc.ForEachCandidate(
-        ngd.pattern().node(start).label, [&](NodeId v) {
-          ++seeds_probed;
-          std::fill(binding.begin(), binding.end(), kInvalidNode);
-          binding[start] = v;
-          RunSeededSearch(cfg, plan, &binding, [&](const Binding&) {
-            ++violations;
-            return violations < kProbeMatchCap;
-          });
-          return ++rule_seeds < kProbeSeeds && violations < kProbeMatchCap;
-        });
-  }
-  if (seeds_probed == 0) return false;
-  return violations >= kDensePerSeed * seeds_probed;
-}
-
 }  // namespace
 
 bool WantSnapshot(const Graph& g, const NgdSet& sigma, GraphView view) {
-  // Regime guard and seed counting agree on the view being detected: a
-  // graph whose edges are all pending in the OTHER view must not pay a
-  // build for an edge-empty snapshot.
+  // Guard and seed counting agree on the view being detected: a graph
+  // whose edges are all pending in the OTHER view must not pay a build
+  // for an edge-empty snapshot.
   if (g.NumEdges(view) == 0) return false;
-  // Regime 1 — matching-dominated. Σ_f |C(start_f)| approximates how many
-  // seed expansions the sweep performs; each streams an adjacency of
-  // average length 2|E|/|V|, while the snapshot build streams the
-  // adjacency a constant number of times with a sort-like constant. Seed
-  // volume ≥ 8|V| ⇒ the live engine would touch well over an order of
-  // magnitude more entries than the build, so the snapshot amortizes
-  // within this call.
+  // Σ_f |C(start_f)| approximates how many seed expansions the sweep
+  // performs; each streams an adjacency of average length 2|E|/|V|,
+  // while the snapshot build streams the adjacency a constant number of
+  // times with a sort-like constant. Seed volume ≥ 8|V| ⇒ the live engine
+  // would touch well over an order of magnitude more entries than the
+  // build, so the snapshot amortizes within this call.
   const GraphAccessor acc(g, view);
   size_t seed_candidates = 0;
   const size_t threshold = 8 * g.NumNodes();
-  bool big_sweep = false;
   for (size_t f = 0; f < sigma.size(); ++f) {
     const Pattern& pattern = sigma[f].pattern();
     seed_candidates += acc.CandidateCount(
         pattern.node(ChooseStartNode(pattern, acc)).label);
-    if (seed_candidates >= threshold) {
-      big_sweep = true;
-      break;
-    }
+    if (seed_candidates >= threshold) return true;
   }
-  if (!big_sweep) return false;
-  // Regime 2 — emission-dominated. A big sweep over a violation-dense
-  // graph spends its time materializing violations, which both engines
-  // pay identically; the build no longer amortizes against the (small)
-  // matching share. Sample the violation density before committing.
-  return !EmissionDominated(g, sigma, view);
+  return false;
 }
 
 VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts) {

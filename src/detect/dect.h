@@ -85,15 +85,12 @@ struct DectOptions : DetectControl {
   const GraphSnapshot* snapshot = nullptr;
 };
 
-/// The kAuto cost model, two regimes, both evaluated on `view` — the view
-/// detection will actually match (a pending-heavy overlay graph must not
-/// be judged by the other view's edges):
-///   1. matching-dominated: the seed-candidate volume of Σ (the adjacency
-///      the live engine would stream) must be large enough to amortize
-///      the O(|E|) snapshot build within this one call;
-///   2. emission-dominated: if a bounded density probe then finds the
-///      graph violation-dense, materializing violations dominates either
-///      engine and the build never pays for itself — stay live.
+/// The kAuto cost model, evaluated on `view` — the view detection will
+/// actually match (a pending-heavy overlay graph must not be judged by
+/// the other view's edges): build the snapshot iff `view` has edges and
+/// the seed-candidate volume of Σ (the adjacency the live engine would
+/// stream) is large enough to amortize the O(|E|) build within this one
+/// call.
 bool WantSnapshot(const Graph& g, const NgdSet& sigma,
                   GraphView view = GraphView::kNew);
 

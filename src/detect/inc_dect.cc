@@ -223,15 +223,15 @@ void PivotBatch::Expand(const PivotTask& task, const ResumePoint& at,
   const UpdateKind kind = index_.updates()[task.update_index].kind;
   const DeltaView* dv = dv_.has_value() ? &*dv_ : nullptr;
   PivotEdgeFilter filter(dv, &index_, kind, task.update_index);
+  const GraphView view =
+      kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
   SearchConfig cfg;
-  cfg.graph = &g_;
-  cfg.delta_view = dv;
+  cfg.graph =
+      dv != nullptr ? GraphAccessor(*dv, view) : GraphAccessor(g_, view);
   cfg.pattern = &ngd.pattern();
   cfg.x = &ngd.X();
   cfg.y = &ngd.Y();
-  cfg.view = kind == UpdateKind::kInsert ? GraphView::kNew : GraphView::kOld;
   cfg.edge_filter = &filter;
-  cfg.node_scope = hooks.node_scope;
   cfg.find_violations = true;
   cfg.cancel = hooks.cancel;
   cfg.handoff = hooks.handoff;

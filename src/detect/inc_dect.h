@@ -121,8 +121,7 @@ struct IncDectOptions : DetectControl {
 /// What an engine adds to each pivot search; every field is optional.
 struct PivotHooks {
   CancelCheck* cancel = nullptr;
-  const NodeSet* node_scope = nullptr;  ///< PIncDect: N_C
-  StepHandoff* handoff = nullptr;       ///< PIncDect: splits, child units
+  StepHandoff* handoff = nullptr;  ///< PIncDect: splits, child units
 };
 
 /// The per-batch setup IncDect and PIncDect share: the UpdateIndex, the

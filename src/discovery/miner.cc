@@ -37,7 +37,7 @@ std::vector<Binding> SampleMatches(const Graph& g, const Pattern& pattern,
                                    size_t cap) {
   std::vector<Binding> matches;
   SearchConfig cfg;
-  cfg.graph = &g;
+  cfg.graph = GraphAccessor(g, GraphView::kNew);
   cfg.pattern = &pattern;
   cfg.find_violations = false;
   RunBatchSearch(cfg, [&](const Binding& h) {
@@ -69,9 +69,10 @@ std::vector<AttrId> CommonNumericAttrs(const Graph& g,
 double Confidence(const Graph& g, const std::vector<Binding>& matches,
                   const Literal& lit) {
   if (matches.empty()) return 0.0;
+  const GraphAccessor acc(g, GraphView::kNew);
   size_t holds = 0;
   for (const Binding& h : matches) {
-    if (lit.Evaluate(g, h) == Truth::kTrue) ++holds;
+    if (lit.Evaluate(acc, h) == Truth::kTrue) ++holds;
   }
   return static_cast<double>(holds) / static_cast<double>(matches.size());
 }

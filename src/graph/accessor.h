@@ -11,9 +11,11 @@
 // states — or a DeltaView, which serves the same two views from CSR
 // label ranges plus per-node sorted delta ranges.
 //
-// The accessor is a tagged tuple of pointers with inline dispatch — no
-// virtual calls on the hot path, and the branch is perfectly predicted
-// inside any one search.
+// It is the only way the match and detect layers name a backend: a
+// search takes one in SearchConfig::graph, and Literal::Evaluate and
+// Expr::Evaluate take one. The accessor is a tagged tuple of pointers
+// with inline dispatch — no virtual calls on the hot path, and the branch
+// is perfectly predicted inside any one search.
 
 #ifndef NGD_GRAPH_ACCESSOR_H_
 #define NGD_GRAPH_ACCESSOR_H_
@@ -39,11 +41,19 @@ class GraphAccessor {
     return graph_ != nullptr || snap_ != nullptr || delta_ != nullptr;
   }
   bool is_snapshot() const { return snap_ != nullptr; }
-  bool is_delta_view() const { return delta_ != nullptr; }
-  const Graph* live_graph() const { return graph_; }
   const GraphSnapshot* snapshot() const { return snap_; }
-  const DeltaView* delta_view() const { return delta_; }
-  GraphView view() const { return view_; }
+
+  /// Calls fn with the wrapped backend (a const GraphSnapshot&,
+  /// DeltaView& or Graph&) and returns its result, so code templated on
+  /// the backend branches once per call, not once per read. fn does not
+  /// see the view; literal evaluation, its one user, reads attributes,
+  /// which no view changes.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    if (snap_ != nullptr) return fn(*snap_);
+    if (delta_ != nullptr) return fn(*delta_);
+    return fn(*graph_);
+  }
 
   size_t NumNodes() const {
     if (snap_ != nullptr) return snap_->NumNodes();
@@ -185,14 +195,6 @@ class GraphAccessor {
       if (!fn(e.other)) return false;
     }
     return true;
-  }
-
-  /// Cost estimate of ForEachNeighbor(v, out, edge_label): exact range
-  /// length for a snapshot or delta view, the full adjacency length (an
-  /// upper bound, O(1)) for the live graph. Comparable across anchors
-  /// within one backend, which is all the cheaper-anchor choice needs.
-  size_t NeighborScanCost(NodeId v, bool out, LabelId edge_label) const {
-    return NeighborSeqLen(v, out, edge_label);
   }
 
  private:

@@ -54,11 +54,6 @@ class DeltaView {
   const SchemaPtr& schema() const { return base_->schema(); }
   const GraphSnapshot& base() const { return *base_; }
   size_t NumNodes() const { return num_nodes_; }
-  /// Effective delta entries indexed (both directions, so 2·|ΔG_eff|).
-  size_t NumDeltaEntries() const {
-    return out_ins_.entries.size() + out_del_.entries.size() +
-           in_ins_.entries.size() + in_del_.entries.size();
-  }
 
   LabelId NodeLabel(NodeId v) const {
     return v < base_nodes_ ? base_->NodeLabel(v) : g_->NodeLabel(v);

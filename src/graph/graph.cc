@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "graph/snapshot.h"
 
@@ -281,28 +280,6 @@ size_t Graph::Degree(NodeId v, GraphView view) const {
 const std::vector<NodeId>& Graph::NodesWithLabel(LabelId label) const {
   if (label >= label_index_.size()) return kEmptyNodeList;
   return label_index_[label];
-}
-
-std::string Graph::DebugString() const {
-  std::ostringstream os;
-  os << "Graph{" << NumNodes() << " nodes, " << NumEdges(GraphView::kNew)
-     << " edges (new view), " << NumEdges(GraphView::kOld)
-     << " edges (old view)}\n";
-  for (NodeId v = 0; v < nodes_.size(); ++v) {
-    os << "  [" << v << "] " << NodeLabelName(v);
-    for (const auto& [a, val] : nodes_[v].attrs) {
-      os << " " << schema_->attrs().NameOf(a) << "=" << val.ToString();
-    }
-    os << "\n";
-    for (const auto& e : out_[v]) {
-      os << "    -[" << schema_->labels().NameOf(e.label) << "]-> " << e.other
-         << (e.state == EdgeState::kInserted
-                 ? " (+)"
-                 : e.state == EdgeState::kDeleted ? " (-)" : "")
-         << "\n";
-    }
-  }
-  return os.str();
 }
 
 }  // namespace ngd

@@ -294,8 +294,6 @@ class Graph {
   /// All node ids with the given label (label-indexed candidates).
   const std::vector<NodeId>& NodesWithLabel(LabelId label) const;
 
-  std::string DebugString() const;
-
  private:
   // Shares and refreshes the committed CSR (snapshot.cc).
   friend class GraphSnapshot;

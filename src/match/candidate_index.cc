@@ -30,7 +30,7 @@ int ChooseStartNode(const Pattern& pattern, const GraphAccessor& g) {
   size_t best_degree = 0;
   for (size_t i = 0; i < pattern.NumNodes(); ++i) {
     const int node = static_cast<int>(i);
-    const size_t c = CandidateCount(g, pattern.node(node).label);
+    const size_t c = g.CandidateCount(pattern.node(node).label);
     const size_t degree = pattern.Adjacency(node).size();
     // Prefer selective labels; among ties — notably all-wildcard
     // patterns, where every count is |V| — prefer higher pattern degree

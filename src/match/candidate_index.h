@@ -2,10 +2,10 @@
 //
 // Candidates are label-indexed: a pattern node labelled l can only match
 // graph nodes labelled l; the wildcard '_' matches every node. The start
-// node of a batch search is chosen to minimize |C(u)| (selectivity). All
-// primitives run against a GraphAccessor, so they serve both the live
-// overlay Graph and a CSR GraphSnapshot; the Graph overloads below are
-// thin wrappers kept for the incremental paths and tests.
+// node of a batch search is chosen to minimize |C(u)| (selectivity),
+// counted through a GraphAccessor (GraphAccessor::CandidateCount and
+// ForEachCandidate serve every backend). NodeMatchesLabel keeps a Graph
+// form for pivot-task enumeration, which reads the live overlay.
 
 #ifndef NGD_MATCH_CANDIDATE_INDEX_H_
 #define NGD_MATCH_CANDIDATE_INDEX_H_
@@ -23,34 +23,11 @@ inline bool NodeMatchesLabel(const Graph& g, NodeId v, LabelId label) {
   return label == kWildcardLabel || g.NodeLabel(v) == label;
 }
 
-/// |C(u)| for a pattern-node label.
-inline size_t CandidateCount(const GraphAccessor& g, LabelId label) {
-  return g.CandidateCount(label);
-}
-inline size_t CandidateCount(const Graph& g, LabelId label) {
-  return GraphAccessor(g, GraphView::kNew).CandidateCount(label);
-}
-
-/// Invokes fn(NodeId) -> bool for every candidate of `label`; fn
-/// returning false aborts the scan. Returns false iff aborted.
-template <typename Fn>
-bool ForEachCandidate(const GraphAccessor& g, LabelId label, Fn&& fn) {
-  return g.ForEachCandidate(label, std::forward<Fn>(fn));
-}
-template <typename Fn>
-bool ForEachCandidate(const Graph& g, LabelId label, Fn&& fn) {
-  return GraphAccessor(g, GraphView::kNew)
-      .ForEachCandidate(label, std::forward<Fn>(fn));
-}
-
 /// The pattern node with the fewest candidates in g (batch search start).
 /// Label-count ties — including the all-wildcard pattern, where every
 /// count is |V| — fall back to the highest-degree pattern node (most
 /// immediate edge constraints on the first expansion).
 int ChooseStartNode(const Pattern& pattern, const GraphAccessor& g);
-inline int ChooseStartNode(const Pattern& pattern, const Graph& g) {
-  return ChooseStartNode(pattern, GraphAccessor(g, GraphView::kNew));
-}
 
 /// Candidate enumeration scoped to one fragment: the label-indexed C(u)
 /// arrays restricted to the nodes the fragment OWNS. The fragment CSR
@@ -84,16 +61,6 @@ class FragmentCandidates {
 
   size_t Count(LabelId label) const { return Range(label).size(); }
   size_t NumOwned() const { return owned_.size(); }
-
-  /// Invokes fn(NodeId) -> bool per owned candidate of `label`; fn
-  /// returning false aborts. Returns false iff aborted.
-  template <typename Fn>
-  bool ForEach(LabelId label, Fn&& fn) const {
-    for (NodeId v : Range(label)) {
-      if (!fn(v)) return false;
-    }
-    return true;
-  }
 
  private:
   std::vector<NodeId> owned_;     // ascending

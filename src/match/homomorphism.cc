@@ -8,29 +8,21 @@ namespace ngd {
 
 namespace {
 
-/// Literal evaluation against whichever backend the accessor wraps.
-Truth EvalLiteral(const GraphAccessor& g, const Literal& lit,
-                  const Binding& binding) {
-  if (g.is_snapshot()) return lit.Evaluate(*g.snapshot(), binding);
-  if (g.is_delta_view()) return lit.Evaluate(*g.delta_view(), binding);
-  return lit.Evaluate(*g.live_graph(), binding);
-}
-
 enum class StepOutcome : uint8_t { kContinue, kPrune, kStop };
 
 /// Evaluates the literals that became ready; decides pruning.
-StepOutcome EvalReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
+StepOutcome EvalReadyLiterals(const SearchConfig& cfg,
                               const std::vector<int>& ready_x,
                               const std::vector<int>& ready_y,
                               const Binding& binding, LiteralState* ls) {
   if (!cfg.find_violations) return StepOutcome::kContinue;
   for (int i : ready_x) {
-    Truth t = EvalLiteral(g, (*cfg.x)[i], binding);
+    Truth t = (*cfg.x)[i].Evaluate(cfg.graph, binding);
     assert(t != Truth::kNotReady);
     if (t == Truth::kFalse) return StepOutcome::kPrune;  // h ̸|= X forever
   }
   for (int i : ready_y) {
-    Truth t = EvalLiteral(g, (*cfg.y)[i], binding);
+    Truth t = (*cfg.y)[i].Evaluate(cfg.graph, binding);
     assert(t != Truth::kNotReady);
     ++ls->y_ready;
     if (t == Truth::kFalse) ls->y_false = true;
@@ -45,9 +37,8 @@ StepOutcome EvalReadyLiterals(const SearchConfig& cfg, const GraphAccessor& g,
 /// Walks the plan from step `step_idx`. `entry` is set only for the
 /// first step of a resumed unit: it fixes the anchor option and may
 /// restrict the scan to a slice.
-bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
-            const MatchPlan& plan, size_t step_idx, Binding* binding,
-            LiteralState ls, const MatchCallback& callback,
+bool Expand(const SearchConfig& cfg, const MatchPlan& plan, size_t step_idx,
+            Binding* binding, LiteralState ls, const MatchCallback& callback,
             const ResumePoint* entry = nullptr) {
   if (cfg.cancel != nullptr && cfg.cancel->ShouldStop()) return false;
   if (step_idx == plan.steps.size()) {
@@ -61,6 +52,7 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   }
   const ExpansionStep& step = plan.steps[step_idx];
   const Pattern& pattern = *cfg.pattern;
+  const GraphAccessor& g = cfg.graph;
 
   // Candidate generation: scan the cheapest anchor among the step's
   // options, measured by the adjacency range the scan will touch (exact
@@ -75,8 +67,8 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
     for (size_t k = 0; k < step.anchor_options.size(); ++k) {
       const AnchorOption& o = step.anchor_options[k];
       const size_t cost =
-          g.NeighborScanCost((*binding)[o.anchor_node], o.anchor_out,
-                             pattern.edge(o.edge).label);
+          g.NeighborSeqLen((*binding)[o.anchor_node], o.anchor_out,
+                           pattern.edge(o.edge).label);
       if (cost < best_cost) {
         best_cost = cost;
         chosen_idx = k;
@@ -91,7 +83,7 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   // The snapshot fast path below scans this CSR label range; fetch it
   // once, before the hand-off hook needs its length.
   const bool fast = g.is_snapshot() && cfg.edge_filter == nullptr &&
-                    cfg.node_scope == nullptr && want_label != kWildcardLabel;
+                    want_label != kWildcardLabel;
   GraphSnapshot::IdRange range;
   if (fast) {
     range = chosen.anchor_out
@@ -114,12 +106,9 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   const size_t end = sliced ? static_cast<size_t>(entry->slice_end) : SIZE_MAX;
 
   // Everything past the label test for one label-matching candidate:
-  // scope/filter admission, closure-edge verification, literal pruning,
+  // filter admission, closure-edge verification, literal pruning,
   // and the recursive descent. Returns false to abort the whole scan.
   auto visit = [&](NodeId cand) {
-    if (cfg.node_scope != nullptr && !cfg.node_scope->Contains(cand)) {
-      return true;
-    }
     if (cfg.edge_filter != nullptr) {
       const NodeId src = chosen.anchor_out ? anchor : cand;
       const NodeId dst = chosen.anchor_out ? cand : anchor;
@@ -153,12 +142,11 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
 
     (*binding)[step.node] = cand;
     LiteralState child = ls;
-    StepOutcome out = EvalReadyLiterals(cfg, g, step.ready_x,
-                                        step.ready_y, *binding, &child);
+    StepOutcome out = EvalReadyLiterals(cfg, step.ready_x, step.ready_y,
+                                        *binding, &child);
     bool keep_going = true;
     if (out == StepOutcome::kContinue) {
-      keep_going =
-          Expand(cfg, g, plan, step_idx + 1, binding, child, callback);
+      keep_going = Expand(cfg, plan, step_idx + 1, binding, child, callback);
     }
     (*binding)[step.node] = kInvalidNode;
     return keep_going;
@@ -169,7 +157,7 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
   // so run it block-compacted — branch-free `m += (label == want)` keeps
   // the filter auto-vectorizable and the survivors (usually a small
   // minority on selective labels) get the expensive per-candidate body
-  // from a dense stack buffer. Scope/filter configs and wildcard labels
+  // from a dense stack buffer. Filtered searches and wildcard labels
   // fall through to the generic scan, which needs per-candidate calls
   // anyway.
   if (fast) {
@@ -210,19 +198,16 @@ bool Expand(const SearchConfig& cfg, const GraphAccessor& g,
 
 /// `check_labels` is false for batch seeds drawn from the start label's
 /// candidate list, whose label is right by construction.
-bool SeededSearchImpl(const SearchConfig& config, const GraphAccessor& g,
-                      const MatchPlan& plan, Binding* binding,
-                      const MatchCallback& callback,
+bool SeededSearchImpl(const SearchConfig& config, const MatchPlan& plan,
+                      Binding* binding, const MatchCallback& callback,
                       bool check_labels = true) {
-  // Seeds must satisfy labels and scope.
+  const GraphAccessor& g = config.graph;
+  // Seeds must satisfy labels.
   for (int s : plan.seeds) {
     const NodeId v = (*binding)[s];
     assert(v != kInvalidNode);
     if (check_labels &&
         !g.NodeMatchesLabel(v, config.pattern->node(s).label)) {
-      return true;
-    }
-    if (config.node_scope != nullptr && !config.node_scope->Contains(v)) {
       return true;
     }
   }
@@ -238,51 +223,45 @@ bool SeededSearchImpl(const SearchConfig& config, const GraphAccessor& g,
     }
   }
   LiteralState ls;
-  StepOutcome out = EvalReadyLiterals(config, g, plan.seed_ready_x,
+  StepOutcome out = EvalReadyLiterals(config, plan.seed_ready_x,
                                       plan.seed_ready_y, *binding, &ls);
   if (out == StepOutcome::kPrune) return true;
-  return Expand(config, g, plan, 0, binding, ls, callback);
+  return Expand(config, plan, 0, binding, ls, callback);
 }
 
 }  // namespace
 
 bool RunSeededSearch(const SearchConfig& config, const MatchPlan& plan,
                      Binding* binding, const MatchCallback& callback) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
+  assert(config.graph.valid() && config.pattern != nullptr);
   assert(!config.find_violations ||
          (config.x != nullptr && config.y != nullptr));
-  return SeededSearchImpl(config, config.MakeAccessor(), plan, binding,
-                          callback);
+  return SeededSearchImpl(config, plan, binding, callback);
 }
 
 bool ResumeSearch(const SearchConfig& config, const MatchPlan& plan,
                   const ResumePoint& at, Binding* binding,
                   const MatchCallback& callback) {
-  assert(config.pattern != nullptr);
-  return Expand(config, config.MakeAccessor(), plan,
-                static_cast<size_t>(at.step), binding, at.literals, callback,
-                &at);
+  assert(config.graph.valid() && config.pattern != nullptr);
+  return Expand(config, plan, static_cast<size_t>(at.step), binding,
+                at.literals, callback, &at);
 }
 
 bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
                             const MatchPlan& plan,
                             const MatchCallback& callback,
                             const GraphSnapshot::IdRange* candidates) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
+  assert(config.graph.valid() && config.pattern != nullptr);
   assert(plan.seeds.size() == 1 && plan.seeds[0] == start);
-  const GraphAccessor g = config.MakeAccessor();
   Binding binding(config.pattern->NumNodes(), kInvalidNode);
   auto seed = [&](NodeId v) {
     binding[start] = v;
-    return SeededSearchImpl(config, g, plan, &binding, callback,
+    return SeededSearchImpl(config, plan, &binding, callback,
                             /*check_labels=*/false);
   };
   if (candidates == nullptr) {
-    return g.ForEachCandidate(config.pattern->node(start).label, seed);
+    return config.graph.ForEachCandidate(config.pattern->node(start).label,
+                                         seed);
   }
   for (NodeId v : *candidates) {
     if (!seed(v)) return false;
@@ -292,11 +271,9 @@ bool RunBatchSearchWithPlan(const SearchConfig& config, int start,
 
 bool RunBatchSearch(const SearchConfig& config,
                     const MatchCallback& callback) {
-  assert((config.graph != nullptr || config.snapshot != nullptr ||
-          config.delta_view != nullptr) &&
-         config.pattern != nullptr);
+  assert(config.graph.valid() && config.pattern != nullptr);
   const Pattern& pattern = *config.pattern;
-  const int start = ChooseStartNode(pattern, config.MakeAccessor());
+  const int start = ChooseStartNode(pattern, config.graph);
   const MatchPlan plan =
       BuildMatchPlan(pattern, {start}, config.x, config.y);
   return RunBatchSearchWithPlan(config, start, plan, callback);

@@ -14,6 +14,10 @@
 //     a child work unit — and later resume each handed-off unit with
 //     ResumeSearch.
 //
+// The engine sees its graph only through SearchConfig::graph, one
+// GraphAccessor (graph/accessor.h), so the same walk serves the live
+// overlay graph, a CSR snapshot and a DeltaView.
+//
 // The engine prunes with literals (paper §6.2 step (3)) soundly:
 //   - any fully-bound X literal evaluating false prunes the branch (no
 //     extension can satisfy X, hence none can violate X → Y);
@@ -33,7 +37,6 @@
 #include "core/ngd.h"
 #include "detect/violation.h"
 #include "graph/accessor.h"
-#include "graph/neighborhood.h"
 #include "graph/snapshot.h"
 #include "match/candidate_index.h"
 #include "match/match_order.h"
@@ -98,20 +101,14 @@ class StepHandoff {
 };
 
 struct SearchConfig {
-  /// At least one of `graph` / `snapshot` / `delta_view` must be set;
-  /// precedence is snapshot > delta_view > graph. Batch detection matches
-  /// against the CSR snapshot's label-partitioned adjacency; incremental
-  /// detection passes either the live overlay graph plus `view`, or a
-  /// DeltaView (base snapshot ⊕ ΔG) plus `view`.
-  const Graph* graph = nullptr;
-  const GraphSnapshot* snapshot = nullptr;
-  const DeltaView* delta_view = nullptr;
+  /// The graph to match; must be valid(). Dect passes its CSR snapshot
+  /// or the live graph, PDect a fragment CSR, IncDect and PIncDect the
+  /// DeltaView or the live graph in the view of the pivot's update.
+  GraphAccessor graph;
   const Pattern* pattern = nullptr;
   const std::vector<Literal>* x = nullptr;
   const std::vector<Literal>* y = nullptr;
-  GraphView view = GraphView::kNew;  ///< live-graph / delta-view searches
-  const EdgeFilter* edge_filter = nullptr;   ///< optional
-  const NodeSet* node_scope = nullptr;       ///< optional candidate scope
+  const EdgeFilter* edge_filter = nullptr;  ///< optional
   /// true: emit only violations (X true, Y violated), with literal
   /// pruning; false: emit every match of the pattern.
   bool find_violations = true;
@@ -129,13 +126,6 @@ struct SearchConfig {
   VioEmitter* emitter = nullptr;
   /// Optional step hand-off hook (parallel engines only).
   StepHandoff* handoff = nullptr;
-
-  /// The accessor the engine actually matches against.
-  GraphAccessor MakeAccessor() const {
-    if (snapshot != nullptr) return GraphAccessor(*snapshot);
-    if (delta_view != nullptr) return GraphAccessor(*delta_view, view);
-    return GraphAccessor(*graph, view);
-  }
 };
 
 /// Runs the plan from pre-seeded `binding` (plan.seeds already bound).

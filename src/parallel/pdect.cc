@@ -159,7 +159,7 @@ class FragmentDectEngine {
     VioEmitter emitter(&run_.local(worker), unit.ngd,
                        ngd.pattern().NumNodes());
     SearchConfig cfg;
-    cfg.snapshot = frag.csr.get();
+    cfg.graph = GraphAccessor(*frag.csr);
     cfg.pattern = &ngd.pattern();
     cfg.x = &ngd.X();
     cfg.y = &ngd.Y();

@@ -25,7 +25,6 @@ class PIncDectEngine {
         opts_(opts),
         p_(std::max(1, opts.num_processors)),
         pivots_(g, sigma, batch, opts.snapshot_mode, opts.base_snapshot),
-        nc_(0),
         pool_(p_, &metrics_, /*enable_steal=*/false, opts.max_queue_depth),
         run_(p_, sigma.size(), opts) {}
 
@@ -37,7 +36,10 @@ class PIncDectEngine {
   PIncDectResult Run() {
     // Step 2: candidate neighborhood N_C(ΔG, Σ) = union of d_Σ-balls
     // around update endpoints, over the union of both views (safe for
-    // ΔVio+ and ΔVio- searches alike), replicated at all processors.
+    // ΔVio+ and ΔVio- searches alike), replicated at all processors. It
+    // is metered, not checked: every node a pivot search binds lies
+    // within its pattern's diameter of the pivot, hence inside N_C
+    // (EXPERIMENTS.md §17).
     std::vector<NodeId> seeds;
     for (const auto& u : pivots_.index().updates()) {
       seeds.push_back(u.edge.src);
@@ -45,10 +47,10 @@ class PIncDectEngine {
     }
     const int d_sigma = sigma_.MaxDiameter();
     NodeSet ball_old = DHopNeighborhood(g_, seeds, d_sigma, GraphView::kOld);
-    nc_ = DHopNeighborhood(g_, seeds, d_sigma, GraphView::kNew);
-    for (NodeId v : ball_old.members()) nc_.Add(v);
+    NodeSet nc = DHopNeighborhood(g_, seeds, d_sigma, GraphView::kNew);
+    for (NodeId v : ball_old.members()) nc.Add(v);
     metrics_.replicated_nodes +=
-        static_cast<uint64_t>(nc_.size()) * (p_ > 1 ? p_ - 1 : 0);
+        static_cast<uint64_t>(nc.size()) * (p_ > 1 ? p_ - 1 : 0);
     metrics_.messages += p_ > 1 ? p_ : 0;  // one broadcast round
 
     // Step 3: partition the pivots round-robin across BVio_i (a free
@@ -86,7 +88,7 @@ class PIncDectEngine {
     // Exactly-once canonical emission keeps per-worker deltas globally
     // disjoint.
     result.delta = run_.MergeFinished();
-    result.candidate_neighborhood_nodes = nc_.size();
+    result.candidate_neighborhood_nodes = nc.size();
     result.metrics = SnapshotOf(metrics_);
     result.elapsed_seconds = timer_.ElapsedSeconds();
     result.truncated = run_.FinishRunInfo();
@@ -171,7 +173,6 @@ class PIncDectEngine {
     Handoff handoff(this, worker, unit, pivots_.Plan(unit.pivot));
     PivotHooks hooks;
     hooks.cancel = check;
-    hooks.node_scope = &nc_;
     hooks.handoff = &handoff;
     pivots_.Expand(unit.pivot, unit.at, &unit.binding, hooks,
                    &run_.local(worker));
@@ -197,7 +198,6 @@ class PIncDectEngine {
   const int p_;
   const WallTimer timer_;  // started before pivots_ is built
   const PivotBatch pivots_;
-  NodeSet nc_;
   ClusterMetrics metrics_;
   WorkStealingPool<PWorkUnit> pool_;
   ParallelRun<DeltaVio> run_;

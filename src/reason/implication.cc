@@ -33,7 +33,7 @@ ImplicationReport CheckImplication(const NgdSet& sigma, const Ngd& phi,
   for (size_t f = 0; f < sigma.size(); ++f) {
     const Ngd& ngd = sigma[f];
     SearchConfig cfg;
-    cfg.graph = model.get();
+    cfg.graph = GraphAccessor(*model, GraphView::kNew);
     cfg.pattern = &ngd.pattern();
     cfg.find_violations = false;
     RunBatchSearch(cfg, [&](const Binding& h) {

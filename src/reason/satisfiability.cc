@@ -244,7 +244,7 @@ std::vector<MatchObligation> CollectObligations(const Graph& model,
   for (size_t f = 0; f < sigma.size(); ++f) {
     const Ngd& ngd = sigma[f];
     SearchConfig cfg;
-    cfg.graph = &model;
+    cfg.graph = GraphAccessor(model, GraphView::kNew);
     cfg.pattern = &ngd.pattern();
     cfg.find_violations = false;
     RunBatchSearch(cfg, [&](const Binding& h) {

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 
 namespace ngd {
 
@@ -55,17 +54,9 @@ class Deadline {
     return d;
   }
 
-  static Deadline Infinite() { return Deadline(); }
-
   bool armed() const { return armed_; }
 
   bool Expired() const { return armed_ && Clock::now() >= when_; }
-
-  /// Seconds until expiry (negative once expired); +inf when unarmed.
-  double RemainingSeconds() const {
-    if (!armed_) return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double>(when_ - Clock::now()).count();
-  }
 
  private:
   bool armed_ = false;

@@ -55,10 +55,6 @@
 #define NGD_RELEASE(...) \
   NGD_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns `result`.
-#define NGD_TRY_ACQUIRE(result, ...) \
-  NGD_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(result, __VA_ARGS__))
-
 /// The function must NOT be called while holding the capability (guards
 /// against self-deadlock on non-reentrant mutexes).
 #define NGD_EXCLUDES(...) \
@@ -92,7 +88,6 @@ class NGD_CAPABILITY("mutex") Mutex {
 
   void Lock() NGD_ACQUIRE() { mu_.lock(); }
   void Unlock() NGD_RELEASE() { mu_.unlock(); }
-  bool TryLock() NGD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;

@@ -259,9 +259,22 @@ TEST(CancelTest, UntruncatedRunsMarkEveryRuleComplete) {
 
 // ---- Deadline-bounded response on the hub workload ------------------------
 
+// The timed tests' hub size. Sanitizer builds (CMake's NGD_SANITIZE, seen
+// here as NGD_SANITIZED_BUILD) run the untimed full reference run tens of
+// times slower, so they use a smaller hub whose full run still clears the
+// 3x-deadline guard under TSan; every other build runs the full size.
+#ifdef NGD_SANITIZED_BUILD
+constexpr size_t kTimedSpokes = 150;
+constexpr size_t kTimedCrossPerHub = 40;
+#else
+constexpr size_t kTimedSpokes = 600;
+constexpr size_t kTimedCrossPerHub = 150;
+#endif
+
 TEST(DeadlineTest, HubWorkloadRespondsWithinTwiceTheDeadline) {
-  // Quadratic enumeration: 6 hubs x 600 spokes ~ 2.2M ordered pairs.
-  HubWorkload w = BuildHubWorkload(6, 600);
+  // Quadratic enumeration: 6 hubs x 600 spokes ~ 2.2M ordered pairs
+  // (~135k at the sanitizer size of 150 spokes).
+  HubWorkload w = BuildHubWorkload(6, kTimedSpokes);
 
   const auto full_start = std::chrono::steady_clock::now();
   const VioSet full = Dect(*w.graph, w.sigma);
@@ -313,8 +326,8 @@ TEST(DeadlineTest, HubWorkloadRespondsWithinTwiceTheDeadline) {
 }
 
 TEST(DeadlineTest, IncrementalHubWorkloadRespondsWithinTwiceTheDeadline) {
-  HubWorkload w = BuildHubWorkload(6, 600);
-  UpdateBatch batch = CrossHubBatch(w, 150);
+  HubWorkload w = BuildHubWorkload(6, kTimedSpokes);
+  UpdateBatch batch = CrossHubBatch(w, kTimedCrossPerHub);
   ASSERT_TRUE(ApplyUpdateBatch(w.graph.get(), &batch).ok());
 
   IncDectOptions base_opts;

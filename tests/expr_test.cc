@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/expr.h"
+#include "graph/accessor.h"
 
 namespace ngd {
 namespace {
@@ -19,13 +20,14 @@ class ExprTest : public ::testing::Test {
   }
 
   Rational EvalInt(const Expr& e) {
-    EvalResult r = e.Evaluate(g_, binding_);
+    EvalResult r = e.Evaluate(acc_, binding_);
     EXPECT_EQ(r.tag, EvalResult::Tag::kInt);
     return r.num;
   }
 
   SchemaPtr schema_;
   Graph g_;
+  const GraphAccessor acc_{g_, GraphView::kNew};
   NodeId v0_, v1_;
   AttrId a_, b_;
   Binding binding_;
@@ -33,7 +35,7 @@ class ExprTest : public ::testing::Test {
 
 TEST_F(ExprTest, ConstantsEvaluate) {
   EXPECT_EQ(EvalInt(Expr::IntConst(7)), Rational(7));
-  EvalResult s = Expr::StrConst("x").Evaluate(g_, binding_);
+  EvalResult s = Expr::StrConst("x").Evaluate(acc_, binding_);
   ASSERT_EQ(s.tag, EvalResult::Tag::kStr);
   EXPECT_EQ(s.str, "x");
 }
@@ -44,13 +46,13 @@ TEST_F(ExprTest, VarAttrEvaluates) {
 }
 
 TEST_F(ExprTest, MissingAttributeIsMissing) {
-  EvalResult r = Expr::Var(1, b_).Evaluate(g_, binding_);
+  EvalResult r = Expr::Var(1, b_).Evaluate(acc_, binding_);
   EXPECT_EQ(r.tag, EvalResult::Tag::kMissing);
 }
 
 TEST_F(ExprTest, UnboundVariableIsUnbound) {
   Binding partial = {v0_, kInvalidNode};
-  EvalResult r = Expr::Var(1, a_).Evaluate(g_, partial);
+  EvalResult r = Expr::Var(1, a_).Evaluate(acc_, partial);
   EXPECT_EQ(r.tag, EvalResult::Tag::kUnbound);
 }
 
@@ -59,7 +61,7 @@ TEST_F(ExprTest, UnboundDominatesMissingInBinaryOps) {
   // v0.b is a string (missing in arithmetic); v1 unbound. The combined
   // expression must report unbound so matching can continue.
   Expr e = Expr::Add(Expr::Var(0, b_), Expr::Var(1, a_));
-  EXPECT_EQ(e.Evaluate(g_, partial).tag, EvalResult::Tag::kUnbound);
+  EXPECT_EQ(e.Evaluate(acc_, partial).tag, EvalResult::Tag::kUnbound);
 }
 
 TEST_F(ExprTest, Arithmetic) {
@@ -84,13 +86,13 @@ TEST_F(ExprTest, DivisionIsExactRational) {
 
 TEST_F(ExprTest, DivisionByZeroIsMissing) {
   Expr e = Expr::Div(Expr::Var(0, a_), Expr::IntConst(0));
-  EXPECT_EQ(e.Evaluate(g_, binding_).tag, EvalResult::Tag::kMissing);
+  EXPECT_EQ(e.Evaluate(acc_, binding_).tag, EvalResult::Tag::kMissing);
 }
 
 TEST_F(ExprTest, StringInArithmeticIsMissing) {
   Expr e = Expr::Add(Expr::Var(0, b_), Expr::IntConst(1));
-  EXPECT_EQ(e.Evaluate(g_, binding_).tag, EvalResult::Tag::kMissing);
-  EXPECT_EQ(Expr::Abs(Expr::StrConst("s")).Evaluate(g_, binding_).tag,
+  EXPECT_EQ(e.Evaluate(acc_, binding_).tag, EvalResult::Tag::kMissing);
+  EXPECT_EQ(Expr::Abs(Expr::StrConst("s")).Evaluate(acc_, binding_).tag,
             EvalResult::Tag::kMissing);
 }
 

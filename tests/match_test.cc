@@ -18,9 +18,8 @@ class MatchTest : public ::testing::Test {
   std::vector<Binding> AllMatches(const Pattern& pattern,
                                   GraphView view = GraphView::kNew) {
     SearchConfig cfg;
-    cfg.graph = &g_;
+    cfg.graph = GraphAccessor(g_, view);
     cfg.pattern = &pattern;
-    cfg.view = view;
     cfg.find_violations = false;
     std::vector<Binding> out;
     RunBatchSearch(cfg, [&](const Binding& h) {
@@ -158,7 +157,7 @@ TEST_F(MatchTest, SeededSearchRespectsSeedLabelsAndEdges) {
   ASSERT_TRUE(p.AddEdge(x, y, lives_).ok());
   MatchPlan plan = BuildMatchPlan(p, {x, y}, nullptr, nullptr);
   SearchConfig cfg;
-  cfg.graph = &g_;
+  cfg.graph = GraphAccessor(g_, GraphView::kNew);
   cfg.pattern = &p;
   cfg.find_violations = false;
   int count = 0;
@@ -188,7 +187,7 @@ TEST_F(MatchTest, EarlyExitStopsSearch) {
   int y = p.AddNode("y", person_);
   ASSERT_TRUE(p.AddEdge(x, y, knows_).ok());
   SearchConfig cfg;
-  cfg.graph = &g_;
+  cfg.graph = GraphAccessor(g_, GraphView::kNew);
   cfg.pattern = &p;
   cfg.find_violations = false;
   int count = 0;
@@ -224,7 +223,7 @@ TEST_F(MatchTest, LiteralPruningFindsOnlyViolations) {
       Literal(Expr::Var(y, v), CmpOp::kEq, Expr::IntConst(2))};
 
   SearchConfig cfg;
-  cfg.graph = &g_;
+  cfg.graph = GraphAccessor(g_, GraphView::kNew);
   cfg.pattern = &p;
   cfg.x = &X;
   cfg.y = &Y;
@@ -254,7 +253,7 @@ TEST_F(MatchTest, MissingAttributeMakesYFailAndXFail) {
   std::vector<Literal> Y{
       Literal(Expr::Var(y, v), CmpOp::kGe, Expr::IntConst(0))};
   SearchConfig cfg;
-  cfg.graph = &g_;
+  cfg.graph = GraphAccessor(g_, GraphView::kNew);
   cfg.pattern = &p;
   cfg.x = &empty_x;
   cfg.y = &Y;
@@ -275,32 +274,6 @@ TEST_F(MatchTest, MissingAttributeMakesYFailAndXFail) {
     return true;
   });
   EXPECT_EQ(count, 0);
-}
-
-TEST_F(MatchTest, NodeScopeRestrictsCandidates) {
-  NodeId a = g_.AddNode(person_), b = g_.AddNode(person_),
-         c = g_.AddNode(person_), d = g_.AddNode(person_);
-  ASSERT_TRUE(g_.AddEdge(a, b, knows_).ok());
-  ASSERT_TRUE(g_.AddEdge(c, d, knows_).ok());
-  Pattern p;
-  int x = p.AddNode("x", person_);
-  int y = p.AddNode("y", person_);
-  ASSERT_TRUE(p.AddEdge(x, y, knows_).ok());
-  NodeSet scope(g_.NumNodes());
-  scope.Add(a);
-  scope.Add(b);
-  SearchConfig cfg;
-  cfg.graph = &g_;
-  cfg.pattern = &p;
-  cfg.node_scope = &scope;
-  cfg.find_violations = false;
-  std::vector<Binding> matches;
-  RunBatchSearch(cfg, [&](const Binding& h) {
-    matches.push_back(h);
-    return true;
-  });
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0][x], a);
 }
 
 // ---- MatchPlan structure ------------------------------------------------------
@@ -364,7 +337,7 @@ TEST_F(MatchTest, ChooseStartPrefersSelectiveLabel) {
   p.AddNode("x", person_);
   int y = p.AddNode("y", city_);
   ASSERT_TRUE(p.AddEdge(0, y, lives_).ok());
-  EXPECT_EQ(ChooseStartNode(p, g_), y);
+  EXPECT_EQ(ChooseStartNode(p, GraphAccessor(g_, GraphView::kNew)), y);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/parser.h"
+#include "graph/accessor.h"
 #include "test_util.h"
 
 namespace ngd {
@@ -100,7 +101,8 @@ TEST_F(ParserTest, ArithmeticPrecedenceAndParens) {
   g.SetAttr(a, "v", Value(int64_t{8}));
   g.SetAttr(b, "v", Value(int64_t{2}));
   Binding h = {a, b};
-  EXPECT_EQ(ngd->Y()[0].Evaluate(g, h), Truth::kTrue);
+  EXPECT_EQ(ngd->Y()[0].Evaluate(GraphAccessor(g, GraphView::kNew), h),
+            Truth::kTrue);
 }
 
 TEST_F(ParserTest, AbsFunction) {

@@ -1269,7 +1269,7 @@ Status RunEngineClaims(const Options& opts, ClaimStats* st) {
     st->matches = 0;
     for (const Ngd& ngd : fig4.sigma.ngds()) {
       SearchConfig cfg;
-      cfg.graph = &g;
+      cfg.graph = GraphAccessor(g, GraphView::kNew);
       cfg.pattern = &ngd.pattern();
       cfg.find_violations = false;
       RunBatchSearch(cfg, [&](const Binding&) {
