@@ -61,6 +61,6 @@ int main() {
   // 4. Repair and revalidate.
   g.SetAttr(total, "val", Value(int64_t{600 + 722}));
   std::printf("after repair, graph %s\n",
-              Validate(g, *rules) ? "satisfies the rules" : "still dirty");
+              Dect(g, *rules).empty() ? "satisfies the rules" : "still dirty");
   return 0;
 }

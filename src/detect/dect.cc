@@ -7,8 +7,7 @@ namespace ngd {
 namespace {
 
 /// Resolves a SnapshotMode to a concrete build-the-snapshot decision
-/// (kAuto defers to WantSnapshot on `view`), so Dect and FindAnyViolation
-/// make the same choice for the same options.
+/// (kAuto defers to WantSnapshot on `view`).
 bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
                      GraphView view) {
   switch (mode) {
@@ -30,24 +29,17 @@ bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
 /// call, shared across all of that rule's seed candidates (and, via the
 /// snapshot, across all rules of the call).
 ///
-/// Emission has two modes:
-///   - `sink != nullptr` (Dect): full matches stream straight into the
-///     sink through a per-rule VioEmitter — batched block appends, no
-///     std::function dispatch, no per-match allocation and no per-match
-///     dedup (batch enumeration emits each binding exactly once per
-///     rule). opts.max_violations_per_ngd caps emissions per NGD
-///     (0 = unlimited), matching the old callback-counting semantics.
-///   - `sink == nullptr` (FindAnyViolation): `callback` receives each
-///     violation; returning false ends that rule's search and — with
-///     `stop_sweep_on_false` — the whole sweep (first-witness exit).
+/// Full matches stream straight into `sink` through a per-rule
+/// VioEmitter — batched block appends, no std::function dispatch, no
+/// per-match allocation and no per-match dedup (batch enumeration emits
+/// each binding exactly once per rule). opts.max_violations_per_ngd caps
+/// emissions per NGD (0 = unlimited).
 ///
 /// opts.cancel/opts.deadline are polled between rules and inside the
 /// expansion loops; a trip marks the interrupted rule and every rule
 /// after it incomplete in opts.run_info and sets its `truncated`.
-template <typename PerViolation>
 void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
-                bool stop_sweep_on_false, VioSet* sink,
-                const PerViolation& callback) {
+                VioSet* sink) {
   std::optional<GraphSnapshot> owned_snap;
   const GraphSnapshot* snap = opts.snapshot;
   if (snap == nullptr &&
@@ -73,6 +65,8 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
       return;
     }
     const Ngd& ngd = sigma[f];
+    VioEmitter emitter(sink, static_cast<int>(f), ngd.pattern().NumNodes(),
+                       opts.max_violations_per_ngd);
     SearchConfig cfg;
     cfg.graph = graph;
     cfg.pattern = &ngd.pattern();
@@ -80,27 +74,17 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
     cfg.y = &ngd.Y();
     cfg.find_violations = true;
     cfg.cancel = cancel;
-    std::optional<VioEmitter> emitter;
-    if (sink != nullptr) {
-      emitter.emplace(sink, static_cast<int>(f), ngd.pattern().NumNodes(),
-                      opts.max_violations_per_ngd);
-      cfg.emitter = &*emitter;
-    }
+    cfg.emitter = &emitter;
     const int start = ChooseStartNode(ngd.pattern(), graph);
     const MatchPlan plan =
         BuildMatchPlan(ngd.pattern(), {start}, &ngd.X(), &ngd.Y());
-    const bool completed = RunBatchSearchWithPlan(
-        cfg, start, plan, [&](const Binding& binding) {
-          return callback(static_cast<int>(f), binding);
-        });
-    if (emitter.has_value()) emitter->Flush();
+    RunBatchSearchWithPlan(cfg, start, plan, MatchCallback());
+    emitter.Flush();
     if (cancel != nullptr && cancel->Stopped()) {
-      // Cancel/deadline stop, not a callback/limit stop: rule f is
-      // incomplete.
+      // Cancel/deadline stop, not a limit stop: rule f is incomplete.
       mark_truncated_from(f);
       return;
     }
-    if (!completed && stop_sweep_on_false) return;
   }
 }
 
@@ -135,39 +119,10 @@ VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts) {
       [&g](const NgdSet& rules, const DectOptions& o) {
         VioSet vio;
         if (o.spill != nullptr) vio.EnableSpill(*o.spill);
-        SweepRules(g, rules, o, /*stop_sweep_on_false=*/false, &vio,
-                   [](int, const Binding&) { return true; });
+        SweepRules(g, rules, o, &vio);
         return vio;
       },
       RemapViolations);
-}
-
-std::optional<Violation> FindAnyViolation(const Graph& g, const NgdSet& sigma,
-                                          const DectOptions& opts) {
-  // Minimization preserves emptiness (a dropped rule's violation always
-  // comes with a kept rule's violation), so validation may sweep the kept
-  // rules only; the witness index is remapped back to the caller's Σ.
-  // The worst case (G |= Σ, the common validation outcome) is a full
-  // sweep, so the same kAuto cost model applies as for Dect; callers who
-  // know violations are common pass kNever to skip the O(|E|) build an
-  // early witness would waste.
-  return RunMinimized(
-      sigma, g.schema(), opts,
-      [&g](const NgdSet& rules, const DectOptions& o) {
-        std::optional<Violation> witness;
-        SweepRules(g, rules, o, /*stop_sweep_on_false=*/true,
-                   /*sink=*/nullptr, [&](int f, const Binding& binding) {
-                     witness = Violation{f, binding};
-                     return false;  // stop at first violation
-                   });
-        return witness;
-      },
-      [](std::optional<Violation> witness, const std::vector<int>& kept) {
-        if (witness.has_value()) {
-          witness->ngd_index = kept[static_cast<size_t>(witness->ngd_index)];
-        }
-        return witness;
-      });
 }
 
 }  // namespace ngd

@@ -2,11 +2,10 @@
 //
 // Dect computes Vio(Σ, G) by full homomorphism enumeration per NGD — the
 // sequential baseline extended from the GFD batch algorithm of [24].
-// Validation (G |= Σ?) is the coNP decision version: an NP witness search
-// that stops at the first violation.
+// Validation (G |= Σ?) is the question whether Dect returns nothing.
 //
-// Both entry points can build one CSR GraphSnapshot of the requested
-// view per call and amortize it across every rule in Σ
+// Dect can build one CSR GraphSnapshot of the requested view per call
+// and amortize it across every rule in Σ
 // (label-partitioned adjacency makes the Matchn expansion memory-lean;
 // see graph/snapshot.h). The default SnapshotMode::kAuto decides by a
 // cost model: the O(|E|) build only pays off when the live engine would
@@ -17,9 +16,6 @@
 
 #ifndef NGD_DETECT_DECT_H_
 #define NGD_DETECT_DECT_H_
-
-#include <optional>
-#include <vector>
 
 #include "detect/violation.h"
 #include "match/homomorphism.h"
@@ -40,13 +36,12 @@ enum class SnapshotMode : uint8_t {
 /// so the fields read opts.minimize_sigma, opts.spill, and so on.
 struct DetectControl {
   /// Σ-optimizer (reason/sigma_optimizer.h): kNever runs Σ verbatim (the
-  /// default and the equivalence oracle); kAlways/kAuto detect against the
+  /// default and the equivalence oracle); kAlways detects against the
   /// implication-minimized rule set — dropped rules spawn no sweeps, pivot
   /// tasks or work units — and remap rule indices back to Σ. Kept-rule
   /// violations and deltas are preserved exactly; dropped (implied) rules
   /// report none — any graph violating them also violates a kept rule.
   MinimizeMode minimize_sigma = MinimizeMode::kNever;
-  SigmaOptimizerOptions sigma_optimizer = {};
   /// Graceful degradation: an externally cancellable run and/or a time
   /// budget. When either trips mid-run the engine stops expanding (the
   /// parallel engines broadcast the stop to every worker and drain their
@@ -96,30 +91,6 @@ bool WantSnapshot(const Graph& g, const NgdSet& sigma,
 
 /// Vio(Σ, G): all violations of all NGDs in Σ.
 VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts = {});
-
-/// First violation found, or nullopt if G |= Σ (early exit). Honors
-/// opts.snapshot_mode (kNever skips the snapshot build callers who expect
-/// an early witness would waste) and opts.minimize_sigma — minimization
-/// preserves emptiness exactly, which makes it a pure win for validation:
-/// the full sweep over a clean graph shrinks to the kept rules.
-std::optional<Violation> FindAnyViolation(const Graph& g, const NgdSet& sigma,
-                                          const DectOptions& opts);
-
-inline std::optional<Violation> FindAnyViolation(
-    const Graph& g, const NgdSet& sigma, GraphView view = GraphView::kNew,
-    SnapshotMode mode = SnapshotMode::kAuto) {
-  DectOptions opts;
-  opts.view = view;
-  opts.snapshot_mode = mode;
-  return FindAnyViolation(g, sigma, opts);
-}
-
-/// The validation problem: G |= Σ.
-inline bool Validate(const Graph& g, const NgdSet& sigma,
-                     GraphView view = GraphView::kNew,
-                     SnapshotMode mode = SnapshotMode::kAuto) {
-  return !FindAnyViolation(g, sigma, view, mode).has_value();
-}
 
 }  // namespace ngd
 

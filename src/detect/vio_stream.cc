@@ -420,8 +420,6 @@ struct VioCursorImpl {
   std::vector<uint32_t> resident_order;  ///< live resident recs, sorted
   size_t resident_pos = 0;
   std::vector<std::vector<int>> remaps;  ///< the set's remap history
-  uint64_t total = 0;
-  uint64_t position = 0;
   Status status;
 
   /// Decodes s's next record (s->remaining > 0).
@@ -459,7 +457,6 @@ struct VioCursorImpl {
         out->ngd_index = r.ngd_index;
         out->nodes.assign(p, p + r.len);
         ++resident_pos;
-        ++position;
         return true;
       }
     }
@@ -478,7 +475,6 @@ struct VioCursorImpl {
       }
       std::push_heap(heap.begin(), heap.end(), After);
     }
-    ++position;
     return true;
   }
 };
@@ -581,10 +577,9 @@ Status OpenSegSources(
 
 }  // namespace
 
-StatusOr<VioCursor> VioSet::OpenCursor(uint64_t start_offset) const {
+StatusOr<VioCursor> VioSet::OpenCursor() const {
   auto impl = std::make_unique<VioCursorImpl>();
   impl->set = this;
-  impl->total = size_;
   if (spill_ != nullptr) {
     JoinFlush();
     // Snapshot the registry; the cursor then reads segment FILES and the
@@ -617,14 +612,6 @@ StatusOr<VioCursor> VioSet::OpenCursor(uint64_t start_offset) const {
               return TupleLess(ra.ngd_index, NodesOf(ra), ra.len,
                                rb.ngd_index, NodesOf(rb), rb.len);
             });
-  // Resume: linear skip (segments interleave arbitrarily, so there is no
-  // per-segment shortcut; a skip is one sequential read, no allocation
-  // churn past the reused tuple buffer).
-  Violation scratch;
-  for (uint64_t i = 0; i < start_offset; ++i) {
-    if (!impl->Next(&scratch)) break;
-  }
-  if (!impl->status.ok()) return impl->status;
   return VioCursor(std::move(impl));
 }
 
@@ -636,28 +623,5 @@ VioCursor::~VioCursor() = default;
 
 bool VioCursor::Next(Violation* out) { return impl_->Next(out); }
 const Status& VioCursor::status() const { return impl_->status; }
-uint64_t VioCursor::position() const { return impl_->position; }
-uint64_t VioCursor::total() const { return impl_->total; }
-
-// ---- VioSink -------------------------------------------------------------
-
-VioSink::VioSink(VioSpillOptions opts) { set_.EnableSpill(opts); }
-
-Status VioSink::Finish() { return set_.FlushSpill(); }
-
-StatusOr<VioCursor> VioSink::OpenCursor(uint64_t offset) const {
-  return set_.OpenCursor(offset);
-}
-
-StatusOr<uint64_t> VioSink::ReadPage(uint64_t offset, size_t max_records,
-                                     std::vector<Violation>* out) const {
-  NGD_ASSIGN_OR_RETURN(VioCursor cursor, set_.OpenCursor(offset));
-  Violation v;
-  for (size_t i = 0; i < max_records && cursor.Next(&v); ++i) {
-    out->push_back(v);
-  }
-  NGD_RETURN_IF_ERROR(cursor.status());
-  return cursor.position();
-}
 
 }  // namespace ngd

@@ -251,11 +251,10 @@ class VioSet {
 
   /// Opens a pull cursor over the full set — spilled segments and the
   /// resident tail — in exactly Sorted() order (the stable paging order:
-  /// ngd_index, then nodes lexicographically). `start_offset` resumes a
-  /// prior stream at that record index (linear skip). The set must
-  /// outlive the cursor and must not be mutated while it is open. Fails
-  /// with kCorruption when a segment file fails its checksum.
-  [[nodiscard]] StatusOr<VioCursor> OpenCursor(uint64_t start_offset = 0) const;
+  /// ngd_index, then nodes lexicographically). The set must outlive the
+  /// cursor and must not be mutated while it is open. Fails with
+  /// kCorruption when a segment file fails its checksum.
+  [[nodiscard]] StatusOr<VioCursor> OpenCursor() const;
 
  private:
   friend struct ItemsView;

@@ -3,9 +3,9 @@
 // DeltaView (an UpdateBatch overlaid on a base snapshot).
 //
 // The homomorphism engine (match/) is written once against this facade.
-// Batch detection matches CSR label-partitioned adjacency: Dect and
-// FindAnyViolation a whole-graph GraphSnapshot, PDect each fragment's
-// induced CSR (parallel/fragment.h);
+// Batch detection matches CSR label-partitioned adjacency: Dect a
+// whole-graph GraphSnapshot, PDect each fragment's induced CSR
+// (parallel/fragment.h);
 // incremental detection (IncDect, PIncDect) either matches the live
 // overlay graph directly — whose adjacency carries the kInserted/kDeleted
 // states — or a DeltaView, which serves the same two views from CSR

@@ -270,13 +270,6 @@ std::optional<EdgeState> Graph::EdgeStateOf(NodeId src, NodeId dst,
   return *state;
 }
 
-size_t Graph::Degree(NodeId v, GraphView view) const {
-  size_t d = 0;
-  for (const auto& e : out_[v]) d += EdgeInView(e.state, view) ? 1 : 0;
-  for (const auto& e : in_[v]) d += EdgeInView(e.state, view) ? 1 : 0;
-  return d;
-}
-
 const std::vector<NodeId>& Graph::NodesWithLabel(LabelId label) const {
   if (label >= label_index_.size()) return kEmptyNodeList;
   return label_index_[label];

@@ -284,9 +284,6 @@ class Graph {
   const std::vector<AdjEntry>& OutEdges(NodeId v) const { return out_[v]; }
   const std::vector<AdjEntry>& InEdges(NodeId v) const { return in_[v]; }
 
-  /// Degree (out + in) counting edges visible in `view`.
-  size_t Degree(NodeId v, GraphView view) const;
-
   /// Total adjacency length (both directions, all states); the parallel
   /// cost model uses this as |v.adj|.
   size_t AdjSize(NodeId v) const { return out_[v].size() + in_[v].size(); }

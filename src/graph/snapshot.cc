@@ -328,13 +328,6 @@ GraphSnapshot::IdRange GraphSnapshot::FindRange(const DirectionView& d,
   return IdRange{};
 }
 
-size_t GraphSnapshot::TotalDegree(const DirectionView& d, NodeId v) {
-  const uint32_t gb = d.group_off[v];
-  const uint32_t ge = d.group_off[v + 1];
-  if (gb == ge) return 0;
-  return d.groups[ge - 1].end - d.groups[gb].begin;
-}
-
 bool GraphSnapshot::HasEdge(NodeId src, NodeId dst, LabelId label) const {
   if (src >= NumNodes() || dst >= NumNodes()) return false;
   IdRange fwd = OutNeighbors(src, label);

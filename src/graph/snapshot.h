@@ -152,10 +152,6 @@ class GraphSnapshot {
     return FindRange(in_, v, label);
   }
 
-  /// Total out/in degree of v in this view (all labels).
-  size_t OutDegree(NodeId v) const { return TotalDegree(out_, v); }
-  size_t InDegree(NodeId v) const { return TotalDegree(in_, v); }
-
   /// Edge membership via binary search over the smaller of src's
   /// out-range and dst's in-range for `label`.
   bool HasEdge(NodeId src, NodeId dst, LabelId label) const;
@@ -202,7 +198,6 @@ class GraphSnapshot {
     }
   }
 
-  static size_t TotalDegree(const DirectionView& d, NodeId v);
   static IdRange FindRange(const DirectionView& d, NodeId v, LabelId label);
 
   SchemaPtr schema_;

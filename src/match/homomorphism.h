@@ -55,7 +55,7 @@ class EdgeFilter {
                      LabelId label) const = 0;
 };
 
-/// Return false to abort the entire search (early-exit validation).
+/// Return false to abort the entire search.
 using MatchCallback = std::function<bool(const Binding&)>;
 
 /// Literal bookkeeping of a bound prefix: carried down the recursion by

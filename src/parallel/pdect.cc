@@ -4,8 +4,6 @@
 #include <atomic>
 #include <optional>
 
-#include "util/timer.h"
-
 namespace ngd {
 
 namespace {
@@ -86,8 +84,6 @@ class FragmentDectEngine {
     PDectResult result;
     // Owner-computes seeding keeps per-worker sets globally disjoint.
     result.vio = run_.MergeFinished();
-    result.crossing_edges = rt_.partition().crossing_edges;
-    result.fragments = p_;
     result.metrics = SnapshotOf(metrics_);
     result.truncated = run_.FinishRunInfo();
     return result;
@@ -215,18 +211,15 @@ class FragmentDectEngine {
 PDectResult PDect(const Graph& g, const NgdSet& sigma,
                   const PDectOptions& opts) {
   // Σ-minimization runs before fragment seeding, so dropped rules never
-  // spawn work units. elapsed_seconds covers the parallel detection
-  // itself; the (cached, amortized) minimization cost is the caller's
-  // setup, as with runtime builds.
+  // spawn work units.
   return RunMinimized(
       sigma, g.schema(), opts,
       [&g](const NgdSet& rules, const PDectOptions& o) {
-        WallTimer timer;
         const int p = std::max(1, o.num_processors);
         const int d_sigma = rules.MaxDiameter();
         // Reuse a caller-supplied runtime when it matches; otherwise
-        // fragment here (the clock includes it — a cold start really pays
-        // it; callers that care pre-build and pass o.runtime).
+        // fragment here (a cold start really pays it; callers that care
+        // pre-build and pass o.runtime).
         std::optional<FragmentRuntime> owned_rt;
         const FragmentRuntime* rt = o.runtime;
         if (rt == nullptr || rt->num_fragments() != p ||
@@ -235,9 +228,7 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
           rt = &*owned_rt;
         }
         FragmentDectEngine engine(rules, o, *rt);
-        PDectResult result = engine.Run(GraphAccessor(g, o.view));
-        result.elapsed_seconds = timer.ElapsedSeconds();
-        return result;
+        return engine.Run(GraphAccessor(g, o.view));
       },
       [](PDectResult result, const std::vector<int>& kept) {
         result.vio = RemapViolations(std::move(result.vio), kept);

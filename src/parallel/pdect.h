@@ -21,8 +21,8 @@
 // Large owned adjacencies split into p slice units under the same cost
 // model (work-unit splitting, as in PIncDect), and at p > 1 idle
 // processors steal seed chunks of 256 candidates across fragments; every
-// stolen or forwarded unit is one simulated message (ClusterMetrics,
-// surfaced in PDectResult). The plan walk itself is match/'s shared
+// stolen or forwarded unit is one simulated message (counted in
+// PDectResult::metrics). The plan walk itself is match/'s shared
 // walker; PDect decides, through a StepHandoff, which steps leave the
 // local walk.
 
@@ -69,9 +69,6 @@ struct PDectResult {
   /// True iff the run was cut short by cancel/deadline and some rule's
   /// enumeration is incomplete (per-rule detail in opts.run_info).
   bool truncated = false;
-  double elapsed_seconds = 0.0;
-  size_t crossing_edges = 0;  ///< edge-cut of the fragmentation used
-  int fragments = 1;          ///< p actually used
   /// Communication / balancing counters. replicated_nodes = Σ_f |halo(f)|
   /// (actual replica volume); messages = halo scans + forwards + steals +
   /// split broadcasts.

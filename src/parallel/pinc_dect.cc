@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "graph/neighborhood.h"
-#include "util/timer.h"
 
 namespace ngd {
 
@@ -90,7 +89,6 @@ class PIncDectEngine {
     result.delta = run_.MergeFinished();
     result.candidate_neighborhood_nodes = nc.size();
     result.metrics = SnapshotOf(metrics_);
-    result.elapsed_seconds = timer_.ElapsedSeconds();
     result.truncated = run_.FinishRunInfo();
     return result;
   }
@@ -196,7 +194,6 @@ class PIncDectEngine {
   const NgdSet& sigma_;
   const PIncDectOptions opts_;
   const int p_;
-  const WallTimer timer_;  // started before pivots_ is built
   const PivotBatch pivots_;
   ClusterMetrics metrics_;
   WorkStealingPool<PWorkUnit> pool_;

@@ -77,7 +77,6 @@ struct PIncDectResult {
   DeltaVio delta;
   /// True iff the run was cut short and some rule's ΔVio is incomplete.
   bool truncated = false;
-  double elapsed_seconds = 0.0;
   size_t candidate_neighborhood_nodes = 0;
   /// Communication / balancing counters, the same shape PDectResult
   /// carries. replicated_nodes = |N_C|·(p-1); messages = the N_C

@@ -1,6 +1,7 @@
 #include "reason/sigma_optimizer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 
 #include "util/hash.h"
@@ -10,6 +11,10 @@
 namespace ngd {
 
 namespace {
+
+/// Cap on helper rules passed to one implication check (obligations grow
+/// with every helper's matches on the canonical model).
+constexpr size_t kMaxHelpers = 6;
 
 // ---- Structural serialization -------------------------------------------
 //
@@ -354,7 +359,7 @@ MinimizedSigma MinimizeSigma(const NgdSet& sigma, const SchemaPtr& schema,
       ++report.prefilter_skips;
       continue;
     }
-    if (helpers.size() > opts.max_helpers) helpers.resize(opts.max_helpers);
+    if (helpers.size() > kMaxHelpers) helpers.resize(kMaxHelpers);
 
     NgdSet helper_set;
     for (int j : helpers) helper_set.Add(sigma[j]);
@@ -390,19 +395,11 @@ bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
                            const SigmaOptimizerOptions& opts,
                            MinimizedSigma* out) {
   if (mode == MinimizeMode::kNever || sigma.empty()) return false;
-  // kAuto below the |Σ| threshold skips entirely — no serialization, no
-  // cache probe, no global lock. Small catalogs are the per-call hot
-  // path the threshold exists to protect; a cache probe there would be a
-  // recurring guaranteed miss (below-threshold results are never
-  // solved, hence never cached).
-  if (mode == MinimizeMode::kAuto && sigma.size() < opts.auto_min_rules) {
-    return false;
-  }
   if (!sigma.Validate().ok()) return false;
 
   const std::string key = SerializeSigma(sigma, schema);
-  if (opts.use_cache) {
-    SigmaCache& cache = Cache();
+  SigmaCache& cache = Cache();
+  {
     MutexLock lock(&cache.mu);
     auto it = cache.entries.find(key);
     if (it != cache.entries.end()) {
@@ -416,8 +413,7 @@ bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
     }
   }
   MinimizedSigma m = MinimizeSigma(sigma, schema, opts);
-  if (opts.use_cache) {
-    SigmaCache& cache = Cache();
+  {
     MutexLock lock(&cache.mu);
     if (cache.entries.size() >= SigmaCache::kMaxEntries) {
       cache.entries.clear();
@@ -467,29 +463,19 @@ void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
   // report is complete exactly when every (transitive) implier finished
   // enumerating. The implied_by edges always point to rules that were
   // alive at drop time, so the relation is a DAG rooted at kept rules.
-  const bool have_cover = report.implied_by.size() == original_rules;
+  assert(report.implied_by.size() == original_rules);
   std::vector<int> stack;
   for (int d : report.dropped) {
     if (mark[static_cast<size_t>(d)] != -1) continue;
-    if (!have_cover || report.implied_by[static_cast<size_t>(d)].empty()) {
-      // No recorded cover (defensive): fall back to the conservative
-      // whole-run mark.
-      mark[static_cast<size_t>(d)] = inner.truncated ? 0 : 1;
-      continue;
-    }
     stack.push_back(d);
     while (!stack.empty()) {
       const size_t r = static_cast<size_t>(stack.back());
+      assert(!report.implied_by[r].empty());
       bool ready = true;
       bool all_complete = true;
       for (int j : report.implied_by[r]) {
         const int8_t m = mark[static_cast<size_t>(j)];
         if (m == -1) {
-          if (!have_cover || report.implied_by[static_cast<size_t>(j)].empty()) {
-            mark[static_cast<size_t>(j)] = inner.truncated ? 0 : 1;
-            if (mark[static_cast<size_t>(j)] == 0) all_complete = false;
-            continue;
-          }
           stack.push_back(j);
           ready = false;
         } else if (m == 0) {

@@ -14,8 +14,8 @@
 // keeps it), and implication is monotone in Σ, so by reverse induction on
 // drop order the final kept set implies every dropped rule. Detection on
 // the minimized set therefore preserves (a) graph cleanliness
-// (FindAnyViolation(G, Σ) empty ⟺ empty on Minimize(Σ)) and (b) the
-// violations of every kept rule, exactly. kYes carries the same
+// (Dect(G, Σ) empty ⟺ empty on Minimize(Σ)) and (b) the violations of
+// every kept rule, exactly. kYes carries the same
 // canonical-model-family caveat as the implication checker itself
 // (satisfiability.h); the randomized differential harness
 // (tests/sigma_optimizer_test.cc) locks the end-to-end equivalence down
@@ -35,16 +35,13 @@
 // Restricting helpers is sound: implication is monotone, so a kYes from a
 // subset is a kYes from Σ∖{φ}; the pre-filter can only miss drops.
 //
-// Engines consume the optimizer through the tri-state `minimize_sigma`
-// of DetectControl (detect/dect.h), the base of every engine's options
+// Engines consume the optimizer through the `minimize_sigma` mode of
+// DetectControl (detect/dect.h), the base of every engine's options
 // struct, and run it through RunMinimized:
 //   kNever  — detection runs Σ verbatim (the default and the oracle);
 //   kAlways — minimize, run the kept rules, remap indices back to Σ;
-//   kAuto   — minimize only when |Σ| ≥ auto_min_rules; below the
-//             threshold the call does nothing at all (no serialization,
-//             no cache probe — small catalogs are the per-call hot
-//             path), at or above it the kept-set cache makes repeat
-//             calls pay a serialization and a lookup only.
+//             the kept-set cache makes repeat calls pay a serialization
+//             and a lookup only.
 // The cache keys on a schema-independent structural serialization of Σ
 // (label/attr NAMES, not interned ids), so production callers that detect
 // per request against a stable catalog pay the solver once per catalog
@@ -66,7 +63,6 @@ namespace ngd {
 enum class MinimizeMode : uint8_t {
   kNever = 0,  ///< run Σ verbatim (default; the equivalence oracle)
   kAlways,     ///< always minimize (first call pays, cache reuses)
-  kAuto,       ///< minimize when |Σ| ≥ auto_min_rules (cache reused there)
 };
 
 struct SigmaOptimizerOptions {
@@ -77,13 +73,6 @@ struct SigmaOptimizerOptions {
                            /*max_branch_nodes=*/2000},
                           /*max_branches=*/4000,
                           /*max_obligations=*/64};
-  /// Cap on helper rules passed to one implication check (obligations grow
-  /// with every helper's matches on the canonical model).
-  size_t max_helpers = 6;
-  /// kAuto threshold on |Σ|.
-  size_t auto_min_rules = 12;
-  /// Consult / fill the process-wide fingerprint cache (ResolveMinimizedSigma).
-  bool use_cache = true;
 };
 
 struct OptimizeReport {
@@ -96,11 +85,10 @@ struct OptimizeReport {
   /// rule d, implied_by[d] lists the original indices of the rules whose
   /// conjunction implied it (the single earlier copy for a duplicate
   /// drop; the helper set that produced the solver's kYes otherwise).
-  /// Kept rules have empty lists. Edges always point to rules alive at
-  /// drop time, so following them transitively from any dropped rule
-  /// terminates in kept rules (a DAG ordered by drop order). Empty
-  /// when the report came from a cache entry predating this field.
-  /// RemapRunInfo walks it to propagate per-rule completion honestly.
+  /// Kept rules have empty lists; every dropped rule's list is non-empty.
+  /// Edges always point to rules alive at drop time, so following them
+  /// transitively from any dropped rule terminates in kept rules (a DAG
+  /// ordered by drop order). RemapRunInfo walks it to propagate per-rule completion honestly.
   std::vector<std::vector<int>> implied_by;
   /// Implication checks that exhausted the budget (rule kept — an
   /// honest kUnknown is never treated as implied).
@@ -137,11 +125,10 @@ MinimizedSigma MinimizeSigma(const NgdSet& sigma, const SchemaPtr& schema,
 /// for logs, reports and tests.
 uint64_t FingerprintSigma(const NgdSet& sigma, const SchemaPtr& schema);
 
-/// Engine entry point: resolves a MinimizeMode against |Σ| and the
-/// process-wide cache. Returns true and fills *out when detection should
-/// run the minimized set (something was actually dropped); false when Σ
-/// should run verbatim (mode kNever, kAuto below threshold — which skips
-/// even the cache probe — invalid Σ, or nothing droppable; the no-op
+/// Engine entry point: resolves a MinimizeMode against the process-wide
+/// cache. Returns true and fills *out when detection should run the
+/// minimized set (something was actually dropped); false when Σ should
+/// run verbatim (mode kNever, invalid Σ, or nothing droppable; the no-op
 /// case skips the copy).
 bool ResolveMinimizedSigma(const NgdSet& sigma, const SchemaPtr& schema,
                            MinimizeMode mode,
@@ -161,18 +148,16 @@ DeltaVio RemapDelta(DeltaVio delta, const std::vector<int>& kept);
 /// rule is complete iff every rule on its implication cover
 /// (OptimizeReport::implied_by, followed transitively to kept rules)
 /// completed — its violations are covered by exactly those rules, so a
-/// truncation elsewhere in the sweep does not poison its mark. Reports
-/// without a recorded cover (e.g. served from a pre-upgrade cache entry)
-/// fall back to the conservative whole-run mark.
+/// truncation elsewhere in the sweep does not poison its mark.
 void RemapRunInfo(const DetectRunInfo& inner, const OptimizeReport& report,
                   size_t original_rules, DetectRunInfo* out);
 
 /// The one minimized run every engine goes through. `opts` is an engine
 /// options struct (derived from DetectControl); `detect(rules, o)` runs
 /// the engine body on `rules` under `o`, and `remap(result, kept)` maps
-/// its result's rule indices back to Σ (RemapViolations, RemapDelta, a
-/// witness index). When opts.minimize_sigma resolves to "run verbatim"
-/// (kNever, kAuto below threshold, nothing droppable) this is exactly
+/// its result's rule indices back to Σ (RemapViolations, RemapDelta).
+/// When opts.minimize_sigma resolves to "run verbatim" (kNever, nothing
+/// droppable) this is exactly
 /// detect(sigma, opts). Otherwise detect runs once on the kept rules with
 /// minimization cleared and a private run_info, whose marks RemapRunInfo
 /// carries back into opts.run_info. Keeping this in ONE place means a
@@ -184,7 +169,7 @@ auto RunMinimized(const NgdSet& sigma, const SchemaPtr& schema,
   MinimizedSigma m;
   if (opts.minimize_sigma == MinimizeMode::kNever ||
       !ResolveMinimizedSigma(sigma, schema, opts.minimize_sigma,
-                             opts.sigma_optimizer, &m)) {
+                             SigmaOptimizerOptions(), &m)) {
     return detect(sigma, opts);
   }
   Options inner = opts;

@@ -457,27 +457,6 @@ TEST(RemapRunInfoTest, TransitiveChainResolvesThroughDroppedImpliers) {
   }
 }
 
-TEST(RemapRunInfoTest, FallsBackWithoutRecordedCover) {
-  // A report without implied_by (e.g. a pre-upgrade cache entry) keeps
-  // the conservative semantics: dropped rules complete iff untruncated.
-  const OptimizeReport report = MakeReport({0}, {1, 2}, {});
-  DetectRunInfo truncated_inner;
-  truncated_inner.truncated = true;
-  truncated_inner.rule_completed = {1};
-  DetectRunInfo out;
-  RemapRunInfo(truncated_inner, report, 3, &out);
-  EXPECT_EQ(out.rule_completed[0], 1);  // kept rule keeps its own mark
-  EXPECT_EQ(out.rule_completed[1], 0);
-  EXPECT_EQ(out.rule_completed[2], 0);
-
-  DetectRunInfo clean_inner;
-  clean_inner.truncated = false;
-  clean_inner.rule_completed = {1};
-  RemapRunInfo(clean_inner, report, 3, &out);
-  EXPECT_EQ(out.rule_completed[1], 1);
-  EXPECT_EQ(out.rule_completed[2], 1);
-}
-
 TEST(RemapRunInfoTest, MinimizeSigmaRecordsResolvableCover) {
   // End-to-end: a catalog with an exact duplicate must come back with an
   // implication-cover edge from the duplicate to the first copy, and

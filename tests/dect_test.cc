@@ -18,7 +18,7 @@ TEST(DectTest, CatchesFig1G1LifespanError) {
   NgdSet rules = MustParse(testing_util::kPhi1, g.schema);
   VioSet vio = Dect(*g.graph, rules);
   EXPECT_EQ(vio.size(), 1u);
-  EXPECT_FALSE(Validate(*g.graph, rules));
+  EXPECT_FALSE(Dect(*g.graph, rules).empty());
 }
 
 TEST(DectTest, CatchesFig1G2PopulationError) {
@@ -39,7 +39,6 @@ TEST(DectTest, CleanPopulationDataValidates) {
     }
   }
   NgdSet rules = MustParse(testing_util::kPhi2, g.schema);
-  EXPECT_TRUE(Validate(*g.graph, rules));
   EXPECT_TRUE(Dect(*g.graph, rules).empty());
 }
 
@@ -70,7 +69,7 @@ TEST(DectTest, FlaggedFakeAccountValidates) {
   // Correct the data: flag the account as fake (status 0).
   g.graph->SetAttr(nodes.fake_status, "val", Value(int64_t{0}));
   NgdSet rules = MustParse(testing_util::kPhi4, g.schema);
-  EXPECT_TRUE(Validate(*g.graph, rules));
+  EXPECT_TRUE(Dect(*g.graph, rules).empty());
 }
 
 TEST(DectTest, AllFourRulesAcrossCombinedGraph) {
@@ -107,14 +106,6 @@ TEST(DectTest, AllFourRulesAcrossCombinedGraph) {
   std::set<int> rules_hit;
   for (const auto& v : vio.items()) rules_hit.insert(v.ngd_index);
   EXPECT_EQ(rules_hit.size(), 4u);
-}
-
-TEST(DectTest, FindAnyViolationStopsEarly) {
-  auto g = BuildG2();
-  NgdSet rules = MustParse(testing_util::kPhi2, g.schema);
-  auto witness = FindAnyViolation(*g.graph, rules);
-  ASSERT_TRUE(witness.has_value());
-  EXPECT_EQ(witness->ngd_index, 0);
 }
 
 TEST(DectTest, MaxViolationsPerNgdCapsOutput) {

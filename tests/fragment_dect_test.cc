@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "detect/dect.h"
@@ -31,12 +30,7 @@ using testing_util::MakeRandomWorkload;
 using testing_util::RandomWorkload;
 
 int FragCases() {
-  const char* env = std::getenv("NGD_FRAG_CASES");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 6;
+  return static_cast<int>(testing_util::EnvCount("NGD_FRAG_CASES", 6));
 }
 
 void ExpectSameVio(const VioSet& expected, const VioSet& actual) {
@@ -127,14 +121,17 @@ TEST_P(FragmentPDectTest, MatchesSequentialDectOnRandomWorkloads) {
     if (w.sigma.size() == 0) continue;
     const VioSet oracle = Dect(*w.graph, w.sigma);
 
+    const FragmentRuntime rt(*w.graph, p, GraphView::kNew,
+                             w.sigma.MaxDiameter());
     PDectOptions opts;
     opts.num_processors = p;
+    opts.runtime = &rt;
     PDectResult r = PDect(*w.graph, w.sigma, opts);
     ExpectSameVio(oracle, r.vio);
-    EXPECT_EQ(r.fragments, p);
     if (p > 1) {
       // Halo replication is real whenever the cut is non-trivial.
-      EXPECT_EQ(r.metrics.replicated_nodes > 0, r.crossing_edges > 0);
+      EXPECT_EQ(r.metrics.replicated_nodes > 0,
+                rt.partition().crossing_edges > 0);
     }
 
     // Same seed, same engine: the violation set is reproducible.

@@ -21,26 +21,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_IO_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 25;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_IO_CASES", 25); }
 
 std::string Serialize(const Graph& g, GraphView view = GraphView::kNew) {
   std::ostringstream os;

@@ -178,13 +178,14 @@ TEST_F(GraphTest, RollbackRestoresOldView) {
   EXPECT_FALSE(g_.HasEdge(b, c, l, GraphView::kNew));
 }
 
-TEST_F(GraphTest, DegreeRespectsView) {
+TEST_F(GraphTest, InsertedEdgeIsInNewViewOnly) {
   NodeId a = g_.AddNode("a"), b = g_.AddNode("b"), c = g_.AddNode("c");
   LabelId l = schema_->InternLabel("e");
   ASSERT_TRUE(g_.AddEdge(a, b, l).ok());
   ASSERT_TRUE(g_.InsertEdge(a, c, l).ok());
-  EXPECT_EQ(g_.Degree(a, GraphView::kOld), 1u);
-  EXPECT_EQ(g_.Degree(a, GraphView::kNew), 2u);
+  EXPECT_EQ(g_.NumEdges(GraphView::kOld), 1u);
+  EXPECT_EQ(g_.NumEdges(GraphView::kNew), 2u);
+  EXPECT_FALSE(g_.HasEdge(a, c, l, GraphView::kOld));
   EXPECT_EQ(g_.AdjSize(a), 2u);
 }
 

@@ -29,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,14 +44,7 @@
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_DIFF_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 1000;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_DIFF_CASES", 1000); }
 
 std::string Describe(const VioSet& set, const NgdSet& sigma) {
   std::ostringstream os;
@@ -190,9 +182,8 @@ CaseOutcome RunCase(uint64_t seed) {
 }
 
 TEST(IncDectDifferentialTest, AllEngineCombinationsAgreeWithBatchDect) {
-  const char* pinned = std::getenv("NGD_DIFF_SEED");
-  if (pinned != nullptr) {
-    RunCase(static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
+  if (const auto pinned = testing_util::EnvSeed("NGD_DIFF_SEED")) {
+    RunCase(*pinned);
     return;
   }
   const size_t cases = CaseCount();
@@ -300,9 +291,8 @@ void RunStream(uint64_t seed) {
 }
 
 TEST(IncDectDifferentialTest, MultiEpochStreamsAgreeWithLiveOracle) {
-  const char* pinned = std::getenv("NGD_DIFF_SEED");
-  if (pinned != nullptr) {
-    RunStream(static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
+  if (const auto pinned = testing_util::EnvSeed("NGD_DIFF_SEED")) {
+    RunStream(*pinned);
     return;
   }
   const size_t streams = std::max<size_t>(1, CaseCount() / 50);

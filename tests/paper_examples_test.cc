@@ -23,28 +23,32 @@ using testing_util::MustParse;
 TEST(PaperExample4Test, G1ViolatesPhi1) {
   auto g = BuildG1();
   NgdSet rules = MustParse(testing_util::kPhi1, g.schema);
-  auto witness = FindAnyViolation(*g.graph, rules);
-  ASSERT_TRUE(witness.has_value());
+  const VioSet vio = Dect(*g.graph, rules);
+  ASSERT_FALSE(vio.empty());
   // h(x) = BBC_Trust (node 0), h(y) = creation date, h(z) = destruction.
-  EXPECT_EQ(witness->nodes[0], 0u);
+  EXPECT_EQ(vio.items().begin()->nodes[0], 0u);
 }
 
 TEST(PaperExample4Test, AllFourGraphsViolateTheirRules) {
   {
     auto g = BuildG1();
-    EXPECT_FALSE(Validate(*g.graph, MustParse(testing_util::kPhi1, g.schema)));
+    EXPECT_FALSE(
+        Dect(*g.graph, MustParse(testing_util::kPhi1, g.schema)).empty());
   }
   {
     auto g = BuildG2();
-    EXPECT_FALSE(Validate(*g.graph, MustParse(testing_util::kPhi2, g.schema)));
+    EXPECT_FALSE(
+        Dect(*g.graph, MustParse(testing_util::kPhi2, g.schema)).empty());
   }
   {
     auto g = BuildG3();
-    EXPECT_FALSE(Validate(*g.graph, MustParse(testing_util::kPhi3, g.schema)));
+    EXPECT_FALSE(
+        Dect(*g.graph, MustParse(testing_util::kPhi3, g.schema)).empty());
   }
   {
     auto g = BuildG4();
-    EXPECT_FALSE(Validate(*g.graph, MustParse(testing_util::kPhi4, g.schema)));
+    EXPECT_FALSE(
+        Dect(*g.graph, MustParse(testing_util::kPhi4, g.schema)).empty());
   }
 }
 

@@ -30,7 +30,6 @@ TEST_P(PDectTest, MatchesSequentialDect) {
   for (const auto& v : sequential.items()) {
     EXPECT_TRUE(parallel.vio.Contains(v));
   }
-  EXPECT_GT(parallel.elapsed_seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Processors, PDectTest,

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -39,18 +38,12 @@
 #include "graph/update_log.h"
 #include "graph/updates.h"
 #include "util/failpoint.h"
+#include "test_util.h"
 
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_RECOVERY_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 8;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_RECOVERY_CASES", 8); }
 
 constexpr int kEpochs = 5;
 constexpr int kRotateAfter = 2;  // RotateState after this epoch commits

@@ -4,10 +4,12 @@
 // implied variants so minimization actually drops rules — assert against
 // all four detection engines that
 //
-//   (a) FindAnyViolation(G, Σ).empty() == FindAnyViolation(G, Min(Σ)).empty()
-//       (a dropped rule's violation always co-occurs with a kept rule's
-//       violation — the soundness claim of the greedy implication cover,
-//       probed here on concrete graphs rather than canonical models), and
+//   (a) Dect(G, Σ).empty() == Dect(G, Min(Σ)).empty(), and every
+//       violation h of a dropped rule is covered by the kept rules: the
+//       subgraph of G induced by h's image violates some kept rule
+//       (CoveredByKept — the soundness claim of the greedy implication
+//       cover, probed violation by violation on concrete graphs rather
+//       than canonical models), and
 //   (b) kept-rule violations are preserved EXACTLY: detection with
 //       minimize_sigma on equals the full-Σ result filtered to kept rules,
 //       element for element, for Dect/PDect (Vio) and IncDect/PIncDect
@@ -25,10 +27,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
@@ -40,14 +44,7 @@
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_SIGMA_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 600;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_SIGMA_CASES", 600); }
 
 std::string Describe(const VioSet& set, const NgdSet& sigma) {
   std::ostringstream os;
@@ -91,6 +88,35 @@ VioSet FilterToKept(const VioSet& full, const std::vector<int>& kept) {
     if (keep.count(v.ngd_index) > 0) out.Add(v);
   }
   return out;
+}
+
+/// The definition of implication as the oracle (Gebser et al.,
+/// arXiv:1007.0134): if the kept rules imply a dropped rule φ and h is a
+/// violation of φ in G, the subgraph of G induced by h's image violates φ
+/// too, so it must violate some kept rule. Builds that subgraph — h's
+/// nodes with their labels and attributes, and G's edges among them —
+/// and reports whether Dect with the kept rules finds a violation on it.
+bool CoveredByKept(const Graph& g, const Violation& h, const NgdSet& kept) {
+  Graph sub(g.schema());
+  std::unordered_map<NodeId, NodeId> local;
+  std::vector<std::pair<NodeId, NodeId>> image;  // (node of G, node of sub)
+  for (NodeId v : h.nodes) {
+    if (local.count(v) > 0) continue;
+    const NodeId u = sub.AddNode(g.NodeLabel(v));
+    for (const auto& [attr, value] : g.Attrs(v)) sub.SetAttr(u, attr, value);
+    local.emplace(v, u);
+    image.emplace_back(v, u);
+  }
+  for (const auto& [v, u] : image) {
+    for (const AdjEntry& e : g.OutEdges(v)) {
+      if (!EdgeInView(e.state, GraphView::kNew)) continue;
+      const auto it = local.find(e.other);
+      if (it != local.end()) {
+        testing_util::MustEdge(sub.AddEdge(u, it->second, e.label));
+      }
+    }
+  }
+  return !Dect(sub, kept).empty();
 }
 
 struct CaseOutcome {
@@ -150,7 +176,7 @@ CaseOutcome RunCase(uint64_t seed) {
   DectOptions min_opts;
   min_opts.minimize_sigma = MinimizeMode::kAlways;
 
-  // ---- Batch: Dect + FindAnyViolation ------------------------------------
+  // ---- Batch: Dect ---------------------------------------------------------
   const VioSet full = Dect(g, sigma);
   const VioSet minimized = Dect(g, sigma, min_opts);
   ExpectSameVioSet(FilterToKept(full, m.report.kept), minimized, sigma,
@@ -161,17 +187,13 @@ CaseOutcome RunCase(uint64_t seed) {
       << Describe(full, sigma) << "minimized-run violations:\n"
       << Describe(minimized, sigma);
 
-  const bool any_full = FindAnyViolation(g, sigma).has_value();
-  std::optional<Violation> any_min = FindAnyViolation(g, sigma, min_opts);
-  EXPECT_EQ(any_full, any_min.has_value())
-      << "FindAnyViolation emptiness diverged (" << repro << ")";
-  if (any_min.has_value()) {
-    // The witness's remapped index must point at a kept original rule
-    // that the full run also saw violated.
-    EXPECT_TRUE(FilterToKept(full, m.report.kept)
-                    .Contains(*any_min))
-        << "FindAnyViolation witness not a kept-rule violation (" << repro
-        << ")";
+  const std::unordered_set<int> dropped(m.report.dropped.begin(),
+                                        m.report.dropped.end());
+  for (const Violation& v : full.items()) {
+    if (dropped.count(v.ngd_index) == 0) continue;
+    EXPECT_TRUE(CoveredByKept(g, v, m.sigma))
+        << "no kept rule covers a violation of dropped rule "
+        << sigma[v.ngd_index].name() << " (" << repro << ")";
   }
 
   // ---- Batch: PDect ------------------------------------------------------
@@ -235,9 +257,8 @@ CaseOutcome RunCase(uint64_t seed) {
 }
 
 TEST(SigmaOptimizerDifferentialTest, AllEnginesAgreeUnderMinimization) {
-  const char* pinned = std::getenv("NGD_DIFF_SEED");
-  if (pinned != nullptr) {
-    RunCase(static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
+  if (const auto pinned = testing_util::EnvSeed("NGD_DIFF_SEED")) {
+    RunCase(*pinned);
     return;
   }
   const size_t cases = CaseCount();
@@ -282,11 +303,9 @@ TEST(SigmaOptimizerDifferentialTest, FingerprintIsStructural) {
   EXPECT_NE(FingerprintSigma(a, s1), FingerprintSigma(d, s1));
 }
 
-// kAuto only pays the solver at or above the |Σ| threshold (below it the
-// call does nothing at all — not even a cache probe); at the threshold a
-// second call reuses the cached kept-set. Either way detection stays
-// equivalent.
-TEST(SigmaOptimizerDifferentialTest, AutoModeIsEquivalentAndCached) {
+// kAlways fills the kept-set cache on its first call; the next call is
+// served from the cache and detects the same violations.
+TEST(SigmaOptimizerDifferentialTest, KeptSetIsCachedAndReused) {
   ClearSigmaOptimizerCache();
   Rng rng(991);
   testing_util::RandomWorkload w =
@@ -297,25 +316,14 @@ TEST(SigmaOptimizerDifferentialTest, AutoModeIsEquivalentAndCached) {
   inf.seed = 5;
   NgdSet sigma = InflateWithImpliedVariants(w.sigma, inf);
 
-  DectOptions auto_opts;
-  auto_opts.minimize_sigma = MinimizeMode::kAuto;
-  // Below the threshold: a verbatim run, identical to kNever.
-  auto_opts.sigma_optimizer.auto_min_rules = sigma.size() + 1;
-  const VioSet full = Dect(*w.graph, sigma);
-  ExpectSameVioSet(full, Dect(*w.graph, sigma, auto_opts), sigma,
-                   "kAuto below threshold", "seed 991");
-  MinimizedSigma probe;
-  EXPECT_FALSE(ResolveMinimizedSigma(sigma, w.schema, MinimizeMode::kAuto,
-                                     auto_opts.sigma_optimizer, &probe));
-  // At the threshold the optimizer runs (and caches); a second call must
-  // agree and come from the cache.
-  auto_opts.sigma_optimizer.auto_min_rules = 1;
-  const VioSet min1 = Dect(*w.graph, sigma, auto_opts);
-  const VioSet min2 = Dect(*w.graph, sigma, auto_opts);
-  ExpectSameVioSet(min1, min2, sigma, "kAuto cached reuse", "seed 991");
+  DectOptions opts;
+  opts.minimize_sigma = MinimizeMode::kAlways;
+  const VioSet min1 = Dect(*w.graph, sigma, opts);
+  const VioSet min2 = Dect(*w.graph, sigma, opts);
+  ExpectSameVioSet(min1, min2, sigma, "kAlways cached reuse", "seed 991");
   MinimizedSigma cached;
-  ASSERT_TRUE(ResolveMinimizedSigma(sigma, w.schema, MinimizeMode::kAuto,
-                                    auto_opts.sigma_optimizer, &cached));
+  ASSERT_TRUE(ResolveMinimizedSigma(sigma, w.schema, MinimizeMode::kAlways,
+                                    SigmaOptimizerOptions(), &cached));
   EXPECT_TRUE(cached.report.from_cache);
 }
 

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -39,18 +38,12 @@
 #include "graph/updates.h"
 #include "parallel/pdect.h"
 #include "parallel/pinc_dect.h"
+#include "test_util.h"
 
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_IO_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 25;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_IO_CASES", 25); }
 
 std::string MustSerialize(const GraphSnapshot& snap) {
   auto bytes = SerializeSnapshot(snap);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/parser.h"
@@ -271,6 +274,24 @@ inline bool HasMultiAnchorStep(const MatchPlan& plan) {
     if (step.anchor_options.size() >= 2) return true;
   }
   return false;
+}
+
+// ---- Sweep sizes and replay seeds from the environment ------------------
+
+/// The case count of a randomized sweep: the positive integer in env var
+/// `name`, else `fallback` (unset, non-numeric and non-positive values).
+inline size_t EnvCount(const char* name, size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const long n = std::strtol(env, nullptr, 10);
+  return n > 0 ? static_cast<size_t>(n) : fallback;
+}
+
+/// The seed of one case to replay, from env var `name`; nullopt if unset.
+inline std::optional<uint64_t> EnvSeed(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  return std::strtoull(env, nullptr, 10);
 }
 
 /// Parses a rule set or aborts the test.

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -37,14 +36,7 @@
 namespace ngd {
 namespace {
 
-size_t CaseCount() {
-  const char* env = std::getenv("NGD_VIO_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 150;
-}
+size_t CaseCount() { return testing_util::EnvCount("NGD_VIO_CASES", 150); }
 
 Violation V(int f, std::vector<NodeId> nodes) {
   return Violation{f, std::move(nodes)};
@@ -428,9 +420,8 @@ void RunEngineCase(uint64_t seed) {
 }
 
 TEST(VioSetEngineDifferentialTest, AllEnginesByteIdenticalSorted) {
-  const char* pinned = std::getenv("NGD_VIO_SEED");
-  if (pinned != nullptr) {
-    RunEngineCase(static_cast<uint64_t>(std::strtoull(pinned, nullptr, 10)));
+  if (const auto pinned = testing_util::EnvSeed("NGD_VIO_SEED")) {
+    RunEngineCase(*pinned);
     return;
   }
   const size_t cases = CaseCount();

@@ -4,8 +4,7 @@
 //      checksummed segments past its budget; the cursor streams segments
 //      plus the resident tail back in exactly Sorted() order (also
 //      through a heap over dozens of segments whose records straddle the
-//      read buffer), resumes from any offset, and applies post-spill
-//      Σ-remaps at read time;
+//      read buffer), and applies post-spill Σ-remaps at read time;
 //   2. engine differential — a randomized sweep running all four engines
 //      with spill thresholds {0, one page, default} and requiring the
 //      cursor stream to be byte-identical to the same engine's
@@ -44,24 +43,20 @@ namespace ngd {
 namespace {
 
 size_t CaseCount() {
-  const char* env = std::getenv("NGD_SPILL_CASES");
-  if (env != nullptr) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 12;
+  return testing_util::EnvCount("NGD_SPILL_CASES", 12);
 }
 
 std::string TempPrefix(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// Drains a cursor and requires the stream to equal `want` exactly.
-/// position() is an absolute stream offset, so a resumed cursor ends at
-/// its starting offset plus the records drained here.
-void ExpectStreamEquals(const std::vector<Violation>& want, VioCursor* cursor,
-                        const std::string& what) {
-  const uint64_t start = cursor->position();
+/// Opens a cursor on `set` and requires its stream to equal `want`
+/// exactly.
+void ExpectSetStreams(const std::vector<Violation>& want, const VioSet& set,
+                      const std::string& what) {
+  ASSERT_EQ(set.size(), want.size()) << what << ": size() disagrees";
+  auto cursor = set.OpenCursor();
+  ASSERT_TRUE(cursor.ok()) << what << ": " << cursor.status().ToString();
   Violation v;
   size_t i = 0;
   while (cursor->Next(&v)) {
@@ -73,15 +68,6 @@ void ExpectStreamEquals(const std::vector<Violation>& want, VioCursor* cursor,
   }
   ASSERT_TRUE(cursor->status().ok()) << what << ": " << cursor->status().ToString();
   ASSERT_EQ(i, want.size()) << what << ": stream shorter than oracle";
-  ASSERT_EQ(cursor->position(), start + want.size()) << what;
-}
-
-void ExpectSetStreams(const std::vector<Violation>& want, const VioSet& set,
-                      const std::string& what) {
-  ASSERT_EQ(set.size(), want.size()) << what << ": size() disagrees";
-  auto cursor = set.OpenCursor();
-  ASSERT_TRUE(cursor.ok()) << what << ": " << cursor.status().ToString();
-  ExpectStreamEquals(want, &*cursor, what);
 }
 
 // ---- 1. unit mechanics ---------------------------------------------------
@@ -120,32 +106,6 @@ TEST(VioSpillTest, BudgetKeepsPeakResidentUnderBudget) {
   EXPECT_GT(set.num_spill_segments(), 0u);
   EXPECT_LT(set.peak_resident_bytes(), opts.budget_bytes);
   EXPECT_EQ(set.size(), 200000u);
-}
-
-TEST(VioSpillTest, CursorResumesFromAnyOffset) {
-  VioSet plain;
-  VioSet set;
-  VioSpillOptions opts;
-  opts.path_prefix = TempPrefix("spill_resume");
-  opts.budget_bytes = 0;
-  set.EnableSpill(opts);
-  for (NodeId n = 0; n < 3000; ++n) {
-    const NodeId tuple[1] = {static_cast<NodeId>(2999 - n)};
-    plain.AppendUnchecked(0, tuple, 1);
-    set.AppendUnchecked(0, tuple, 1);
-  }
-  const std::vector<Violation> want = plain.Sorted();
-  // Page through with a mid-stream handoff: read k records, reopen at
-  // position(), and require the tail to line up.
-  auto first = set.OpenCursor();
-  ASSERT_TRUE(first.ok());
-  Violation v;
-  for (int i = 0; i < 1234; ++i) ASSERT_TRUE(first->Next(&v));
-  ASSERT_EQ(first->position(), 1234u);
-  auto resumed = set.OpenCursor(first->position());
-  ASSERT_TRUE(resumed.ok());
-  const std::vector<Violation> tail(want.begin() + 1234, want.end());
-  ExpectStreamEquals(tail, &*resumed, "resumed cursor");
 }
 
 TEST(VioSpillTest, RemapAppliesToSegmentsWrittenBeforeIt) {
@@ -201,47 +161,7 @@ TEST(VioSpillTest, HeapMergeOverManySegmentsWithStraddlingRecords) {
   AppendLongTuples(4000, {&plain, &set});
   ASSERT_GE(set.num_spill_segments(), 64u);
   ASSERT_GT(set.resident_bytes(), 0u);  // the merge includes a tail too
-  const std::vector<Violation> want = plain.Sorted();
-  ExpectSetStreams(want, set, "heap merge");
-
-  Rng rng(0x0FF5E7);
-  for (int i = 0; i < 6; ++i) {
-    const size_t offset = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(want.size())));
-    auto cursor = set.OpenCursor(offset);
-    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-    ASSERT_EQ(cursor->position(), offset);
-    const std::vector<Violation> tail(
-        want.begin() + static_cast<std::ptrdiff_t>(offset), want.end());
-    ExpectStreamEquals(tail, &*cursor,
-                       "heap merge from offset " + std::to_string(offset));
-  }
-}
-
-TEST(VioSinkTest, ReadPagePagesTheWholeStream) {
-  VioSpillOptions opts;
-  opts.path_prefix = TempPrefix("sink_page");
-  opts.budget_bytes = 0;
-  VioSink sink(opts);
-  VioSet plain;
-  for (NodeId n = 0; n < 1000; ++n) {
-    const NodeId tuple[1] = {static_cast<NodeId>(999 - n)};
-    sink.set()->AppendUnchecked(0, tuple, 1);
-    plain.AppendUnchecked(0, tuple, 1);
-  }
-  ASSERT_TRUE(sink.Finish().ok());
-  EXPECT_EQ(sink.set()->resident_bytes(), 0u);  // fully flushed
-  const std::vector<Violation> want = plain.Sorted();
-  std::vector<Violation> got;
-  uint64_t offset = 0;
-  while (got.size() < want.size()) {
-    auto next = sink.ReadPage(offset, 137, &got);
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    ASSERT_GT(*next, offset) << "paging made no progress";
-    offset = *next;
-  }
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) ASSERT_TRUE(want[i] == got[i]);
+  ExpectSetStreams(plain.Sorted(), set, "heap merge");
 }
 
 // ---- 3. fault injection --------------------------------------------------
@@ -471,7 +391,6 @@ void RunEngineSpillCase(uint64_t seed, size_t budget, const char* regime) {
 }
 
 TEST(VioStreamEngineDifferentialTest, SpilledStreamsMatchSortedOracle) {
-  const char* pinned = std::getenv("NGD_SPILL_SEED");
   const VioSpillOptions defaults;
   const struct {
     size_t budget;
@@ -481,9 +400,10 @@ TEST(VioStreamEngineDifferentialTest, SpilledStreamsMatchSortedOracle) {
       {4096, "page"},         // one-page budget
       {defaults.budget_bytes, "default"},  // enabled but never trips
   };
-  if (pinned != nullptr) {
-    const uint64_t seed = std::strtoull(pinned, nullptr, 10);
-    for (const auto& r : kRegimes) RunEngineSpillCase(seed, r.budget, r.regime);
+  if (const auto pinned = testing_util::EnvSeed("NGD_SPILL_SEED")) {
+    for (const auto& r : kRegimes) {
+      RunEngineSpillCase(*pinned, r.budget, r.regime);
+    }
     return;
   }
   const size_t cases = CaseCount();

@@ -1216,8 +1216,17 @@ Status RunDectLeg(const Options& opts, const Graph& g, const NgdSet& sigma,
   VioSet live;
   for (const auto& [mode, seconds] : modes) {
     VioSet vio;
-    *seconds = TimeMin(opts.repetitions,
-                       [&]() { vio = Dect(g, sigma, DectWith(mode)); });
+    *seconds = -1.0;
+    for (int r = 0; r < opts.repetitions; ++r) {
+      // Each repetition runs on a copy made outside the timer. A copied
+      // Graph starts without its committed CSR, so every leg and every
+      // repetition pays the same cold snapshot build, whatever ran first.
+      const Graph copy(g);
+      WallTimer t;
+      vio = Dect(copy, sigma, DectWith(mode));
+      const double s = t.ElapsedSeconds();
+      if (*seconds < 0.0 || s < *seconds) *seconds = s;
+    }
     if (mode == SnapshotMode::kNever) {
       live = std::move(vio);
     } else if (!SameVio(live, vio)) {
