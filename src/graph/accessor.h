@@ -4,7 +4,7 @@
 //
 // The homomorphism engine (match/) is written once against this facade.
 // Batch detection matches CSR label-partitioned adjacency: Dect a
-// whole-graph GraphSnapshot, PDect each fragment's induced CSR
+// whole-graph GraphSnapshot, PDect the one its fragments share
 // (parallel/fragment.h);
 // incremental detection (IncDect, PIncDect) either matches the live
 // overlay graph directly — whose adjacency carries the kInserted/kDeleted

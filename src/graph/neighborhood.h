@@ -4,7 +4,9 @@
 // d_Σ-neighbors of the nodes touched by ΔG: G_d(v) is the subgraph induced
 // by V_d(v), the nodes within d hops of v treating G as undirected. The
 // candidate-neighborhood set N_C(ΔG, Σ) replicated by PIncDect is the union
-// of these balls over all update pivots.
+// of these balls over all update pivots. PDect's halos are the same balls
+// around each fragment's boundary (parallel/fragment.h), taken over the
+// fragment runtime's CSR; both backends run one BFS.
 
 #ifndef NGD_GRAPH_NEIGHBORHOOD_H_
 #define NGD_GRAPH_NEIGHBORHOOD_H_
@@ -15,6 +17,8 @@
 #include "graph/graph.h"
 
 namespace ngd {
+
+class GraphSnapshot;
 
 /// Membership mask over node ids, with the member list kept alongside so
 /// both O(1) tests and iteration are cheap.
@@ -43,6 +47,9 @@ class NodeSet {
 /// Includes the seeds themselves.
 NodeSet DHopNeighborhood(const Graph& g, const std::vector<NodeId>& seeds,
                          int d, GraphView view);
+/// The same over the edges of `snap` (its one view).
+NodeSet DHopNeighborhood(const GraphSnapshot& snap,
+                         const std::vector<NodeId>& seeds, int d);
 
 }  // namespace ngd
 

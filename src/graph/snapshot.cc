@@ -43,47 +43,40 @@ struct NodeScratch {
 /// A counting sort on the label (scratch reset via the touched list), then
 /// an id sort within each label segment. Beats a comparator sort of
 /// (label, id) pairs ~2x: segments are short, so the O(d log d) factor
-/// collapses to O(d + Σ s log s). With an `include` set only edges with
-/// both endpoints included survive (the induced subgraph), keeping out/in
-/// exact transposes.
-void AppendNode(const Graph& g, GraphView view, bool out,
-                const NodeSet* include, NodeId v, NodeScratch* s,
-                Direction* d) {
-  if (include == nullptr || include->Contains(v)) {
-    const auto& adj = out ? g.OutEdges(v) : g.InEdges(v);
-    std::vector<uint32_t>& seg = s->seg;
-    s->touched.clear();
+/// collapses to O(d + Σ s log s).
+void AppendNode(const Graph& g, GraphView view, bool out, NodeId v,
+                NodeScratch* s, Direction* d) {
+  const auto& adj = out ? g.OutEdges(v) : g.InEdges(v);
+  std::vector<uint32_t>& seg = s->seg;
+  s->touched.clear();
+  for (const AdjEntry& e : adj) {
+    if (!EdgeInView(e.state, view)) continue;
+    if (seg[e.label]++ == 0) s->touched.push_back(e.label);
+  }
+  if (!s->touched.empty()) {
+    std::sort(s->touched.begin(), s->touched.end());
+    uint32_t off = 0;
+    for (LabelId l : s->touched) {
+      const uint32_t count = seg[l];
+      seg[l] = off;
+      off += count;
+    }
+    s->buf.resize(off);
     for (const AdjEntry& e : adj) {
       if (!EdgeInView(e.state, view)) continue;
-      if (include != nullptr && !include->Contains(e.other)) continue;
-      if (seg[e.label]++ == 0) s->touched.push_back(e.label);
+      s->buf[seg[e.label]++] = e.other;
     }
-    if (!s->touched.empty()) {
-      std::sort(s->touched.begin(), s->touched.end());
-      uint32_t off = 0;
-      for (LabelId l : s->touched) {
-        const uint32_t count = seg[l];
-        seg[l] = off;
-        off += count;
-      }
-      s->buf.resize(off);
-      for (const AdjEntry& e : adj) {
-        if (!EdgeInView(e.state, view)) continue;
-        if (include != nullptr && !include->Contains(e.other)) continue;
-        s->buf[seg[e.label]++] = e.other;
-      }
-      uint32_t begin = 0;
-      for (LabelId l : s->touched) {
-        const uint32_t end = seg[l];
-        std::sort(s->buf.begin() + begin, s->buf.begin() + end);
-        d->groups.push_back(LabelGroup{
-            l, static_cast<uint32_t>(d->nbr.size()),
-            static_cast<uint32_t>(d->nbr.size() + (end - begin))});
-        d->nbr.insert(d->nbr.end(), s->buf.begin() + begin,
-                      s->buf.begin() + end);
-        begin = end;
-        seg[l] = 0;  // reset scratch for the next node
-      }
+    uint32_t begin = 0;
+    for (LabelId l : s->touched) {
+      const uint32_t end = seg[l];
+      std::sort(s->buf.begin() + begin, s->buf.begin() + end);
+      d->groups.push_back(LabelGroup{
+          l, static_cast<uint32_t>(d->nbr.size()),
+          static_cast<uint32_t>(d->nbr.size() + (end - begin))});
+      d->nbr.insert(d->nbr.end(), s->buf.begin() + begin,
+                    s->buf.begin() + end);
+      begin = end;
+      seg[l] = 0;  // reset scratch for the next node
     }
   }
   d->group_off.push_back(static_cast<uint32_t>(d->groups.size()));
@@ -120,9 +113,9 @@ void CopyNodes(const Direction& prev, NodeId first, NodeId last,
 /// unique), which are re-sorted from the live lists like every node from
 /// `prev_nodes` on.
 void BuildDirection(const Graph& g, GraphView view, bool out,
-                    const NodeSet* include, const Direction& prev,
-                    size_t prev_nodes, const std::vector<NodeId>& dirty,
-                    NodeScratch* s, Direction* d) {
+                    const Direction& prev, size_t prev_nodes,
+                    const std::vector<NodeId>& dirty, NodeScratch* s,
+                    Direction* d) {
   const size_t n = g.NumNodes();
   d->nbr.clear();
   d->groups.clear();
@@ -133,12 +126,12 @@ void BuildDirection(const Graph& g, GraphView view, bool out,
   NodeId next = 0;
   for (NodeId v : dirty) {
     CopyNodes(prev, next, v, d);
-    AppendNode(g, view, out, include, v, s, d);
+    AppendNode(g, view, out, v, s, d);
     next = v + 1;
   }
   CopyNodes(prev, next, static_cast<NodeId>(prev_nodes), d);
   for (NodeId v = static_cast<NodeId>(prev_nodes); v < n; ++v) {
-    AppendNode(g, view, out, include, v, s, d);
+    AppendNode(g, view, out, v, s, d);
   }
 }
 
@@ -147,20 +140,17 @@ void BuildDirection(const Graph& g, GraphView view, bool out,
 /// are appended, and the adjacency is rebuilt as BuildDirection says,
 /// through `spare`. `next` may be `prev` itself (a refresh in place, when
 /// no snapshot holds it). A full build is a refresh from EmptyCore().
-void Refresh(const Graph& g, GraphView view, const NodeSet* include,
-             const SnapshotCore& prev, const std::vector<NodeId>& dirty,
-             SnapshotCore* next, Direction* spare) {
+void Refresh(const Graph& g, GraphView view, const SnapshotCore& prev,
+             const std::vector<NodeId>& dirty, SnapshotCore* next,
+             Direction* spare) {
   const size_t n = g.NumNodes();
   const size_t prev_nodes = prev.node_labels.size();
 
   // Labels and flat attributes: `prev`'s, then the new nodes'. Graph keeps
-  // each tuple AttrId-sorted already. Excluded nodes get an empty range —
-  // their attributes live in the fragments that own or replicate them.
+  // each tuple AttrId-sorted already.
   size_t total_attrs = prev.attrs.size();
   for (NodeId v = static_cast<NodeId>(prev_nodes); v < n; ++v) {
-    if (include == nullptr || include->Contains(v)) {
-      total_attrs += g.Attrs(v).size();
-    }
+    total_attrs += g.Attrs(v).size();
   }
   Reserve(&next->node_labels, n);
   Reserve(&next->attr_off, n + 1);
@@ -173,19 +163,17 @@ void Refresh(const Graph& g, GraphView view, const NodeSet* include,
   if (next->attr_off.empty()) next->attr_off.push_back(0);
   for (NodeId v = static_cast<NodeId>(prev_nodes); v < n; ++v) {
     next->node_labels.push_back(g.NodeLabel(v));
-    if (include == nullptr || include->Contains(v)) {
-      for (const auto& a : g.Attrs(v)) next->attrs.push_back(a);
-    }
+    for (const auto& a : g.Attrs(v)) next->attrs.push_back(a);
     next->attr_off.push_back(static_cast<uint32_t>(next->attrs.size()));
   }
 
   const size_t num_labels = g.schema()->labels().size();
   NodeScratch scratch(num_labels);
-  BuildDirection(g, view, /*out=*/true, include, prev.out, prev_nodes, dirty,
-                 &scratch, spare);
+  BuildDirection(g, view, /*out=*/true, prev.out, prev_nodes, dirty, &scratch,
+                 spare);
   std::swap(next->out, *spare);
-  BuildDirection(g, view, /*out=*/false, include, prev.in, prev_nodes, dirty,
-                 &scratch, spare);
+  BuildDirection(g, view, /*out=*/false, prev.in, prev_nodes, dirty, &scratch,
+                 spare);
   std::swap(next->in, *spare);
 
   // Label → candidate-node CSR via counting sort (node ids stay
@@ -207,11 +195,10 @@ void Refresh(const Graph& g, GraphView view, const NodeSet* include,
   }
 }
 
-std::shared_ptr<const SnapshotCore> BuildCore(const Graph& g, GraphView view,
-                                              const NodeSet* include) {
+std::shared_ptr<const SnapshotCore> BuildCore(const Graph& g, GraphView view) {
   auto core = std::make_shared<SnapshotCore>();
   Direction spare;
-  Refresh(g, view, include, EmptyCore(), {}, core.get(), &spare);
+  Refresh(g, view, EmptyCore(), {}, core.get(), &spare);
   return core;
 }
 
@@ -233,21 +220,25 @@ std::shared_ptr<const SnapshotCore> GraphSnapshot::CommittedCore(
     // Copy-on-write: write into the core only when every lease on it has
     // come back, else build a new one and leave the old to its holders.
     const bool in_place =
-        csr.core != nullptr &&
+        csr.core != nullptr && !csr.adopted &&
         csr.core->leases_returned.load(std::memory_order_acquire) ==
             csr.leased;
     std::shared_ptr<SnapshotCore> next = csr.core;
     if (!in_place) {
       next = std::make_shared<SnapshotCore>();
       csr.leased = 0;
+      csr.adopted = false;
     }
-    Refresh(g, GraphView::kOld, nullptr, full ? EmptyCore() : *csr.core,
-            csr.dirty, next.get(), &csr.spare);
+    Refresh(g, GraphView::kOld, full ? EmptyCore() : *csr.core, csr.dirty,
+            next.get(), &csr.spare);
     csr.core = std::move(next);
     csr.dirty.clear();
     csr.stale = false;
     g.csr_.covered.store(n, std::memory_order_relaxed);
   }
+  // An adopted core is never written, so its holders need no count; its
+  // leases_returned may belong to the graph the snapshot was taken from.
+  if (csr.adopted) return csr.core;
   // A lease: its own control block keeps the core alive and, when the
   // last snapshot sharing it drops it, counts it returned.
   ++csr.leased;
@@ -257,17 +248,22 @@ std::shared_ptr<const SnapshotCore> GraphSnapshot::CommittedCore(
       });
 }
 
+void GraphSnapshot::AdoptCommittedCore(Graph* g, const GraphSnapshot& snap) {
+  assert(g->NumNodes() == snap.NumNodes() && !g->HasPendingUpdate());
+  MutexLock lock(&g->csr_.mu);
+  CommittedCsr& csr = *g->csr_.state;
+  assert(csr.core == nullptr);
+  // Never written while adopted (see CommittedCsr::adopted).
+  csr.core = std::const_pointer_cast<SnapshotCore>(snap.core_);
+  csr.adopted = true;
+  g->csr_.covered.store(snap.NumNodes(), std::memory_order_relaxed);
+}
+
 GraphSnapshot::GraphSnapshot(const Graph& g, GraphView view)
     : schema_(g.schema()), view_(view) {
   Bind(view == GraphView::kOld || !g.HasPendingUpdate()
            ? CommittedCore(g)
-           : BuildCore(g, view, nullptr));
-}
-
-GraphSnapshot::GraphSnapshot(const Graph& g, GraphView view,
-                             const NodeSet& include)
-    : schema_(g.schema()), view_(view) {
-  Bind(BuildCore(g, view, &include));
+           : BuildCore(g, view));
 }
 
 void GraphSnapshot::Bind(std::shared_ptr<const SnapshotCore> core) {

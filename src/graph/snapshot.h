@@ -26,9 +26,12 @@
 // refreshes it: clean nodes' label groups and neighbor runs are copied
 // from the previous core in bulk, and only the nodes the epoch touched
 // are re-sorted from the live lists (O(|ΔG| log d) plus a linear copy).
-// So Dect, RotateState and IncDect's DeltaView base (graph/delta_view.h)
-// all take the committed CSR in O(1) when it is current. The `include`
-// (fragment) constructor and kNew with a batch pending build their own.
+// So Dect, RotateState, IncDect's DeltaView base (graph/delta_view.h) and
+// PDect's fragment runtime (parallel/cluster.h) all take the committed CSR
+// in O(1) when it is current; only kNew with a batch pending builds its
+// own. A Graph materialized from a loaded snapshot (graph/snapshot_io.h)
+// starts with that snapshot's core as its committed one, and copies it at
+// the first refresh instead of writing into it.
 
 #ifndef NGD_GRAPH_SNAPSHOT_H_
 #define NGD_GRAPH_SNAPSHOT_H_
@@ -40,7 +43,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/neighborhood.h"
 
 namespace ngd {
 
@@ -84,6 +86,9 @@ struct CommittedCsr {
   /// Leases of `core` handed to snapshots; all returned means no snapshot
   /// holds it, and the refresh may write into it.
   uint64_t leased = 0;
+  /// `core` came from a loaded snapshot, which reads it without a lease:
+  /// requests hand it out unleased, and the refresh never writes into it.
+  bool adopted = false;
   /// Nodes `core` covers whose committed adjacency changed since; may
   /// repeat.
   std::vector<NodeId> dirty;
@@ -115,19 +120,6 @@ class GraphSnapshot {
   /// O(|V| + |E| log d) for max degree d on the first request or after
   /// SetAttr on an existing node. Otherwise a full build.
   GraphSnapshot(const Graph& g, GraphView view);
-
-  /// Materializes the subgraph of `view` of `g` induced by `include`,
-  /// keeping GLOBAL node ids: the id space (and the node-label and
-  /// label→candidate arrays, which the binary format requires to cover
-  /// every node) stays full-width, but adjacency and attribute tuples are
-  /// materialized only for included nodes, and only edges with both
-  /// endpoints included survive. This is the fragment CSR of the
-  /// fragment-native parallel runtime (parallel/fragment.h): member and
-  /// halo nodes carry real adjacency, every other id is an empty husk.
-  /// Callers must scope candidate enumeration themselves (the candidate
-  /// arrays still list excluded nodes — see match/candidate_index.h's
-  /// FragmentCandidates).
-  GraphSnapshot(const Graph& g, GraphView view, const NodeSet& include);
 
   const SchemaPtr& schema() const { return schema_; }
   GraphView view() const { return view_; }
@@ -162,6 +154,11 @@ class GraphSnapshot {
   void ForEachOutEdge(NodeId v, Fn&& fn) const {
     ForEachEdge(out_, v, std::forward<Fn>(fn));
   }
+  /// Same for every in-edge w -[label]-> v of v.
+  template <typename Fn>
+  void ForEachInEdge(NodeId v, Fn&& fn) const {
+    ForEachEdge(in_, v, std::forward<Fn>(fn));
+  }
 
   /// All node ids with the given label, ascending (candidate array).
   IdRange NodesWithLabel(LabelId label) const;
@@ -187,6 +184,9 @@ class GraphSnapshot {
   void Bind(std::shared_ptr<const SnapshotCore> core);
   /// g's committed core, refreshed first if g changed since it was built.
   static std::shared_ptr<const SnapshotCore> CommittedCore(const Graph& g);
+  /// Makes `snap`'s core the committed one of g, which has none yet and
+  /// holds exactly `snap`'s nodes, attributes and edges, all committed.
+  static void AdoptCommittedCore(Graph* g, const GraphSnapshot& snap);
 
   template <typename Fn>
   void ForEachEdge(const DirectionView& d, NodeId v, Fn&& fn) const {

@@ -614,6 +614,9 @@ StatusOr<std::unique_ptr<Graph>> SnapshotCodec::Materialize(
   if (!s.ok()) {
     return Status::Internal("snapshot materialization: " + s.ToString());
   }
+  // g now holds exactly the snapshot's content, and the snapshot's core is
+  // canonical (a build's, or validated on load): it is g's committed CSR.
+  GraphSnapshot::AdoptCommittedCore(g.get(), snap);
   return g;
 }
 

@@ -63,7 +63,9 @@ bool SniffSnapshotFile(const std::string& path);
 /// Rebuilds a live overlay Graph (all edges kBase) from a snapshot, e.g.
 /// to feed incremental detection — which needs a mutable graph to carry
 /// ΔG — from a snapshot-file input. O(|V| + |E|) plus the edge-index
-/// hashing any live graph pays.
+/// hashing any live graph pays. The Graph's committed CSR starts as
+/// `snap`'s core, shared, so its first snapshot costs O(1); `snap` stays
+/// unchanged however the Graph mutates (graph/snapshot.h).
 [[nodiscard]] StatusOr<std::unique_ptr<Graph>> MaterializeGraph(const GraphSnapshot& snap);
 
 /// Structural digest of the snapshot content (node labels, attribute

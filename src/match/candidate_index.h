@@ -30,11 +30,11 @@ inline bool NodeMatchesLabel(const Graph& g, NodeId v, LabelId label) {
 int ChooseStartNode(const Pattern& pattern, const GraphAccessor& g);
 
 /// Candidate enumeration scoped to one fragment: the label-indexed C(u)
-/// arrays restricted to the nodes the fragment OWNS. The fragment CSR
-/// keeps the full-width candidate arrays of the binary snapshot format
-/// (graph/snapshot.h), so owner-computes seeding — each match is seeded
-/// exactly once cluster-wide, by the fragment owning its start node —
-/// needs this separate owned-only index. Built once per fragment from any
+/// arrays restricted to the nodes the fragment OWNS. The fragments share
+/// one CSR with whole-graph candidate arrays (parallel/fragment.h), so
+/// owner-computes seeding — each match is seeded exactly once
+/// cluster-wide, by the fragment owning its start node — needs this
+/// separate owned-only index. Built once per fragment from any
 /// accessor backend; O(|members|) space.
 class FragmentCandidates {
  public:

@@ -73,8 +73,8 @@ struct ResumePoint {
   int32_t step = 0;
   /// Index into plan.steps[step].anchor_options; -1 lets the walker pick
   /// the cheapest anchor. A unit handed off on an anchor must scan that
-  /// anchor when it resumes: another fragment's CSR may rank the anchors
-  /// differently, and a forwarded unit that re-chose could bounce.
+  /// anchor when it resumes: its slice indexes that anchor's neighbor
+  /// sequence.
   int32_t anchor_option = -1;
   /// [slice_begin, slice_end) of the anchor's neighbor sequence (the
   /// GraphAccessor::NeighborSeqLen domain); slice_begin < 0 scans it all.
@@ -102,8 +102,9 @@ class StepHandoff {
 
 struct SearchConfig {
   /// The graph to match; must be valid(). Dect passes its CSR snapshot
-  /// or the live graph, PDect a fragment CSR, IncDect and PIncDect the
-  /// DeltaView or the live graph in the view of the pivot's update.
+  /// or the live graph, PDect its fragments' shared CSR, IncDect and
+  /// PIncDect the DeltaView or the live graph in the view of the pivot's
+  /// update.
   GraphAccessor graph;
   const Pattern* pattern = nullptr;
   const std::vector<Literal>* x = nullptr;

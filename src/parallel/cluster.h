@@ -13,8 +13,9 @@
 //     termination, cross-fragment forwarding, and idle-time work
 //     stealing; every unit that changes queues is charged one simulated
 //     message.
-//   - FragmentRuntime: the fragmented graph itself — p FragmentSnapshots
-//     (induced CSR + halo, parallel/fragment.h) built from one Partition.
+//   - FragmentRuntime: the fragmented graph itself — one CSR all p
+//     processors share, and p FragmentSnapshots (owned candidates and
+//     halo, parallel/fragment.h) from one Partition of it.
 //
 // PDect runs fragment-native on a FragmentRuntime + WorkStealingPool;
 // PIncDect uses the pool with round-robin pivot placement and the paper's
@@ -478,16 +479,18 @@ class ParallelRun {
   std::unique_ptr<std::atomic<uint32_t>[]> pending_;
 };
 
-/// The fragmented graph: p FragmentSnapshots over one Partition. Owns the
-/// per-fragment CSRs (built in parallel) and answers ownership queries.
+/// The fragmented graph: one GraphSnapshot of `view` of the graph that
+/// every fragment seeds, expands and steals against (when the view is the
+/// committed edge set, the Graph's core, taken in O(1)), and p
+/// FragmentSnapshots over one Partition of it. Answers ownership queries.
 /// Thread-compatible by immutability: every member is written during
 /// construction and only read afterwards, so all p workers share a
 /// runtime with no capability to hold — the thread-safety analysis has
 /// nothing to check here by design;
 /// per-call engines own their ClusterMetrics and charge replication from
 /// total_halo_nodes(). A runtime outlives rule sets whose max pattern
-/// diameter fits halo_hops(), so benchmarks and the future ngdd daemon
-/// build it once and amortize across detection calls.
+/// diameter fits halo_hops(), so benchmarks build it once and amortize
+/// it across detection calls.
 class FragmentRuntime {
  public:
   /// Partitions `view` of `g` into p fragments (label/degree-aware LDG)
@@ -498,8 +501,10 @@ class FragmentRuntime {
   FragmentRuntime(const Graph& g, Partition part, GraphView view,
                   int halo_hops);
 
+  /// The CSR all fragments share.
+  const GraphSnapshot& snapshot() const { return snapshot_; }
   int num_fragments() const { return static_cast<int>(fragments_.size()); }
-  GraphView view() const { return view_; }
+  GraphView view() const { return snapshot_.view(); }
   int halo_hops() const { return halo_hops_; }
   const Partition& partition() const { return partition_; }
   const FragmentSnapshot& fragment(int f) const { return fragments_[f]; }
@@ -509,8 +514,11 @@ class FragmentRuntime {
   uint64_t total_halo_nodes() const;
 
  private:
-  GraphView view_ = GraphView::kNew;
-  int halo_hops_ = 0;
+  /// One thread per fragment: a cluster's "deploy the fragments" phase.
+  void BuildFragments();
+
+  GraphSnapshot snapshot_;
+  int halo_hops_;
   Partition partition_;
   std::vector<FragmentSnapshot> fragments_;
 };

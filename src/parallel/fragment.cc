@@ -4,40 +4,28 @@
 #include <cassert>
 
 #include "graph/accessor.h"
+#include "graph/neighborhood.h"
 
 namespace ngd {
 
-FragmentSnapshot BuildFragmentSnapshot(const Graph& g, const Partition& part,
-                                       int fragment_id, GraphView view,
+FragmentSnapshot BuildFragmentSnapshot(const GraphSnapshot& snap,
+                                       const Partition& part, int f,
                                        int halo_hops) {
-  assert(fragment_id >= 0 && fragment_id < part.num_fragments);
-  FragmentSnapshot f;
-  f.fragment_id = fragment_id;
-  f.members = part.members[fragment_id];
-  f.owned = NodeSet(g.NumNodes());
-  for (NodeId v : f.members) f.owned.Add(v);
-
+  assert(f >= 0 && f < part.num_fragments);
+  FragmentSnapshot frag;
   // Halo = d-ball around the boundary members, minus the members. A node
   // within d hops of ANY member is within d hops of the last member on
   // the connecting path — which has a crossing edge, hence is boundary —
   // so seeding the BFS from the boundary only is exact, not a heuristic.
-  NodeSet include(g.NumNodes());
-  for (NodeId v : f.members) include.Add(v);
-  if (halo_hops > 0 && !part.boundary[fragment_id].empty()) {
-    NodeSet ball =
-        DHopNeighborhood(g, part.boundary[fragment_id], halo_hops, view);
-    for (NodeId v : ball.members()) include.Add(v);
+  if (halo_hops > 0 && !part.boundary[f].empty()) {
+    const NodeSet ball = DHopNeighborhood(snap, part.boundary[f], halo_hops);
+    for (NodeId v : ball.members()) {
+      if (part.fragment_of[v] != f) frag.halo.push_back(v);
+    }
+    std::sort(frag.halo.begin(), frag.halo.end());
   }
-  std::vector<NodeId> all = include.members();
-  std::sort(all.begin(), all.end());
-  f.halo.reserve(all.size() - f.members.size());
-  for (NodeId v : all) {
-    if (!f.owned.Contains(v)) f.halo.push_back(v);
-  }
-
-  f.csr = std::make_unique<GraphSnapshot>(g, view, include);
-  f.candidates = FragmentCandidates(GraphAccessor(*f.csr), f.members);
-  return f;
+  frag.candidates = FragmentCandidates(GraphAccessor(snap), part.members[f]);
+  return frag;
 }
 
 }  // namespace ngd

@@ -13,7 +13,7 @@ constexpr double kLabelAffinity = 0.25;
 
 }  // namespace
 
-Partition PartitionGraph(const Graph& g, int p, GraphView view) {
+Partition PartitionGraph(const GraphSnapshot& g, int p) {
   assert(p >= 1);
   Partition result;
   result.num_fragments = p;
@@ -31,11 +31,10 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view) {
   std::iota(order.begin(), order.end(), NodeId{0});
   std::vector<uint32_t> degree(n, 0);
   for (NodeId v = 0; v < n; ++v) {
-    for (const auto& e : g.OutEdges(v)) {
-      if (!EdgeInView(e.state, view)) continue;
+    g.ForEachOutEdge(v, [&](LabelId, NodeId w) {
       ++degree[v];
-      ++degree[e.other];
-    }
+      ++degree[w];
+    });
   }
   std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
     return degree[a] > degree[b];
@@ -48,14 +47,11 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view) {
   std::vector<double> score(p);
   for (NodeId v : order) {
     std::fill(score.begin(), score.end(), 0.0);
-    auto tally = [&](const AdjEntry& e) {
-      if (!EdgeInView(e.state, view)) return;
-      if (result.fragment_of[e.other] >= 0) {
-        score[result.fragment_of[e.other]] += 1.0;
-      }
+    auto tally = [&](LabelId, NodeId w) {
+      if (result.fragment_of[w] >= 0) score[result.fragment_of[w]] += 1.0;
     };
-    for (const auto& e : g.OutEdges(v)) tally(e);
-    for (const auto& e : g.InEdges(v)) tally(e);
+    g.ForEachOutEdge(v, tally);
+    g.ForEachInEdge(v, tally);
     const LabelId l = g.NodeLabel(v);
     for (int f = 0; f < p; ++f) {
       const double placed =
@@ -94,21 +90,16 @@ Partition PartitionGraph(const Graph& g, int p, GraphView view) {
     const int home = result.fragment_of[v];
     result.members[home].push_back(v);
     bool crossing = false;
-    for (const auto& e : g.OutEdges(v)) {
-      if (!EdgeInView(e.state, view)) continue;
-      if (result.fragment_of[e.other] != home) {
+    g.ForEachOutEdge(v, [&](LabelId, NodeId w) {
+      if (result.fragment_of[w] != home) {
         ++result.crossing_edges;
         crossing = true;
       }
-    }
+    });
     if (!crossing) {
-      for (const auto& e : g.InEdges(v)) {
-        if (!EdgeInView(e.state, view)) continue;
-        if (result.fragment_of[e.other] != home) {
-          crossing = true;
-          break;
-        }
-      }
+      g.ForEachInEdge(v, [&](LabelId, NodeId w) {
+        crossing = crossing || result.fragment_of[w] != home;
+      });
     }
     if (crossing) result.boundary[home].push_back(v);
   }

@@ -21,15 +21,16 @@
 //
 // The result carries full ownership structure: fragment_of, per-fragment
 // member lists, and per-fragment boundary sets (owned nodes with at least
-// one crossing edge) — the seeds of the halo replication that
-// FragmentSnapshot performs (parallel/fragment.h).
+// one crossing edge) — the seeds of the halos FragmentRuntime meters
+// (parallel/fragment.h). It reads the same CSR the runtime's fragments
+// share.
 
 #ifndef NGD_PARALLEL_PARTITIONER_H_
 #define NGD_PARALLEL_PARTITIONER_H_
 
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/snapshot.h"
 
 namespace ngd {
 
@@ -40,15 +41,14 @@ struct Partition {
   /// Per-fragment owned node ids, ascending.
   std::vector<std::vector<NodeId>> members;
   /// Per-fragment boundary set: owned nodes with >= 1 edge (either
-  /// direction, in `view`) to a node owned elsewhere; ascending.
+  /// direction) to a node owned elsewhere; ascending.
   std::vector<std::vector<NodeId>> boundary;
   size_t crossing_edges = 0;  ///< edges with endpoints in two fragments
 };
 
-/// Partitions the nodes of `view` of `g` into `p` balanced fragments.
-/// Deterministic: same (g, p, view) -> same Partition.
-Partition PartitionGraph(const Graph& g, int p,
-                         GraphView view = GraphView::kNew);
+/// Partitions the nodes of `g` into `p` balanced fragments.
+/// Deterministic: same (g, p) -> same Partition.
+Partition PartitionGraph(const GraphSnapshot& g, int p);
 
 }  // namespace ngd
 

@@ -18,8 +18,9 @@ constexpr size_t kSeedChunk = 256;
 ///     at.step's anchor, resuming there;
 ///   - slice unit (at.sliced()): same, but scanning only a slice of the
 ///     anchor adjacency (hybrid split).
-/// Units always expand against fragment `home`'s CSR; a thief reads the
-/// victim's fragment, paid for by the steal message.
+/// Units expand against the runtime's shared CSR; `home` is the fragment
+/// whose ownership meters them. A thief runs the victim's units as the
+/// victim would, paid for by the steal message.
 struct PUnit {
   int32_t ngd = -1;
   int32_t home = 0;
@@ -36,15 +37,16 @@ class FragmentDectEngine {
       : sigma_(sigma),
         opts_(opts),
         rt_(rt),
+        graph_(rt.snapshot()),
         p_(rt.num_fragments()),
         pool_(p_, &metrics_, /*enable_steal=*/p_ > 1, opts.max_queue_depth),
         run_(p_, sigma.size(), opts) {}
 
-  PDectResult Run(const GraphAccessor& global) {
+  PDectResult Run() {
     metrics_.replicated_nodes.fetch_add(rt_.total_halo_nodes(),
                                         std::memory_order_relaxed);
 
-    // One start node + plan per rule, chosen against the global graph so
+    // One start node + plan per rule, chosen against the shared CSR so
     // every fragment agrees (owner-computes seeding needs one well-defined
     // owner per match).
     start_of_.resize(sigma_.size());
@@ -52,7 +54,7 @@ class FragmentDectEngine {
     plans_.reserve(sigma_.size());
     for (size_t r = 0; r < sigma_.size(); ++r) {
       const Pattern& pattern = sigma_[r].pattern();
-      start_of_[r] = ChooseStartNode(pattern, global);
+      start_of_[r] = ChooseStartNode(pattern, graph_);
       start_label_[r] = pattern.node(start_of_[r]).label;
       plans_.push_back(BuildMatchPlan(pattern, {start_of_[r]}, &sigma_[r].X(),
                                       &sigma_[r].Y()));
@@ -95,14 +97,14 @@ class FragmentDectEngine {
   /// it leaves to the walker.
   class Handoff final : public StepHandoff {
    public:
-    Handoff(FragmentDectEngine* engine, int worker, int rule,
-            const FragmentSnapshot& frag)
-        : e_(engine), worker_(worker), rule_(rule), frag_(frag) {}
+    Handoff(FragmentDectEngine* engine, int worker, int rule, int home)
+        : e_(engine), worker_(worker), rule_(rule), home_(home) {}
 
     bool Take(const ResumePoint& at, NodeId anchor, size_t seq_len,
               const Binding& binding) override {
       const PDectOptions& opts = e_->opts_;
-      const bool owned = frag_.Owns(anchor);
+      const int owner = e_->rt_.OwnerOf(anchor);
+      const bool owned = owner == home_;
       const size_t matched = e_->plans_[rule_].seeds.size() + at.step;
       if (!at.sliced() &&
           HandoffPays(opts.latency_c, matched, seq_len, e_->p_)) {
@@ -111,7 +113,6 @@ class FragmentDectEngine {
           // anchor's owner, which scans its own (owned) adjacency.
           // Exact: all nodes of any completion are within d_Σ of the
           // anchor, so they lie inside the owner's members ∪ halo.
-          const int owner = e_->rt_.OwnerOf(anchor);
           e_->pool_.Forward(worker_, owner,
                             e_->MakeUnit(rule_, owner, at, binding));
           return true;
@@ -120,8 +121,8 @@ class FragmentDectEngine {
           SplitStep(&e_->metrics_, e_->p_, at, seq_len,
                     [&](int target, const ResumePoint& slice) {
                       e_->pool_.Spawn(worker_, target,
-                                      e_->MakeUnit(rule_, frag_.fragment_id,
-                                                   slice, binding));
+                                      e_->MakeUnit(rule_, home_, slice,
+                                                   binding));
                     });
           return true;
         }
@@ -136,7 +137,7 @@ class FragmentDectEngine {
     FragmentDectEngine* e_;
     int worker_;
     int rule_;
-    const FragmentSnapshot& frag_;
+    int home_;
   };
 
   void ProcessUnit(int worker, PUnit& unit) {
@@ -145,17 +146,16 @@ class FragmentDectEngine {
       return;  // dropped: the unit's pending count keeps its rule incomplete
     }
     metrics_.work_units.fetch_add(1, std::memory_order_relaxed);
-    const FragmentSnapshot& frag = rt_.fragment(unit.home);
     const Ngd& ngd = sigma_[unit.ngd];
     const MatchPlan& plan = plans_[unit.ngd];
-    Handoff handoff(this, worker, unit.ngd, frag);
+    Handoff handoff(this, worker, unit.ngd, unit.home);
     // Owner-computes seeding plus disjoint slice splits make the
     // per-worker sets globally duplicate-free, so emission skips the
     // hash probe.
     VioEmitter emitter(&run_.local(worker), unit.ngd,
                        ngd.pattern().NumNodes());
     SearchConfig cfg;
-    cfg.graph = GraphAccessor(*frag.csr);
+    cfg.graph = graph_;
     cfg.pattern = &ngd.pattern();
     cfg.x = &ngd.X();
     cfg.y = &ngd.Y();
@@ -164,7 +164,7 @@ class FragmentDectEngine {
     cfg.handoff = &handoff;
     if (unit.binding.empty()) {
       const GraphSnapshot::IdRange owned =
-          frag.candidates.Range(start_label_[unit.ngd]);
+          rt_.fragment(unit.home).candidates.Range(start_label_[unit.ngd]);
       const size_t end = std::min<size_t>(unit.chunk_end, owned.size());
       const GraphSnapshot::IdRange chunk{owned.ptr + unit.chunk_begin,
                                          end - unit.chunk_begin};
@@ -197,6 +197,7 @@ class FragmentDectEngine {
   const NgdSet& sigma_;
   const PDectOptions& opts_;
   const FragmentRuntime& rt_;
+  const GraphAccessor graph_;  // rt_'s shared CSR
   const int p_;
   ClusterMetrics metrics_;
   WorkStealingPool<PUnit> pool_;
@@ -228,7 +229,7 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
           rt = &*owned_rt;
         }
         FragmentDectEngine engine(rules, o, *rt);
-        return engine.Run(GraphAccessor(g, o.view));
+        return engine.Run();
       },
       [](PDectResult result, const std::vector<int>& kept) {
         result.vio = RemapViolations(std::move(result.vio), kept);

@@ -2,14 +2,13 @@
 // extended from the GFD algorithms of Fan-Wu-Xu SIGMOD'16 [24]).
 //
 // The graph is fragmented across p processors (FragmentRuntime,
-// parallel/cluster.h): each fragment holds the induced CSR of its owned
-// nodes plus a d_Σ-hop halo of replicated boundary neighbors. Detection
-// is owner-computes: every match is seeded exactly once cluster-wide, by
+// parallel/cluster.h), threads that share one CSR of it. Detection is
+// owner-computes: every match is seeded exactly once cluster-wide, by
 // the fragment that OWNS the candidate bound to the rule's start node
-// (FragmentCandidates enumerates owned candidates only). Expansion runs
-// against the fragment CSR; because every two nodes of one match are
-// within graph distance d_Σ of each other, the halo makes local
-// expansion exact (see parallel/fragment.h for the argument).
+// (FragmentCandidates enumerates owned candidates only). Every two nodes
+// of one match are within graph distance d_Σ of each other, so each match
+// lies in its seeding fragment's members ∪ d_Σ-hop halo: the replication
+// a cluster would pay (parallel/fragment.h), metered as replicated_nodes.
 //
 // Boundary-crossing matches are resolved by the paper's §7 hybrid
 // policy, per expansion step with a non-owned (halo) anchor:
@@ -43,8 +42,8 @@ namespace ngd {
 struct PDectOptions : DetectControl {
   int num_processors = 4;
   GraphView view = GraphView::kNew;
-  /// Pre-built fragment runtime to amortize partitioning + fragment CSR
-  /// builds across calls (benchmarks, long-lived services). Used when it
+  /// Pre-built fragment runtime to amortize partitioning + halo builds
+  /// across calls (benchmarks, long-lived services). Used when it
   /// matches: num_fragments == num_processors, same view, halo_hops >=
   /// max pattern diameter of Σ; otherwise the engine builds its own.
   const FragmentRuntime* runtime = nullptr;

@@ -1,9 +1,10 @@
 // Fragment-native parallel detection, locked to the sequential oracles.
 //
 // Two layers of coverage:
-//   - FragmentSnapshot structure: the induced CSR keeps exactly the
-//     edges among members ∪ halo, candidates enumerate owned nodes only,
-//     no halo node is owned;
+//   - FragmentSnapshot structure: each halo is the d-hop ball around its
+//     fragment's boundary over the live graph, minus its members; every
+//     PDect violation lies in members ∪ halo of the fragment owning its
+//     start-node binding; candidates enumerate owned nodes only;
 //   - differential: fragment-native PDect and the skew-balanced PIncDect
 //     (p ∈ {1,2,4,8}) reproduce the Dect/IncDect violation sets exactly
 //     on randomized seed-reproducible workloads.
@@ -17,6 +18,7 @@
 
 #include "detect/dect.h"
 #include "detect/inc_dect.h"
+#include "graph/neighborhood.h"
 #include "parallel/cluster.h"
 #include "parallel/pdect.h"
 #include "parallel/pinc_dect.h"
@@ -47,45 +49,75 @@ void ExpectSameVio(const VioSet& expected, const VioSet& actual) {
 
 // ---- FragmentSnapshot structure -----------------------------------------
 
-TEST(FragmentSnapshotTest, InducedCsrKeepsExactlyTheIncludedEdges) {
+TEST(FragmentSnapshotTest, HaloIsTheBoundaryBallOverTheLiveGraph) {
+  // The runtime's BFS runs over its shared CSR; the reference runs over
+  // the live graph's lists, in both views of a pending batch.
   SchemaPtr schema = Schema::Create();
   auto g = GenerateGraph(SyntheticConfig(300, 900, 71), schema);
+  UpdateGenOptions up;
+  up.fraction = 0.1;
+  up.seed = 72;
+  UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
+  ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
   const int p = 3;
-  Partition part = PartitionGraph(*g, p);
-  for (int f = 0; f < p; ++f) {
-    FragmentSnapshot frag =
-        BuildFragmentSnapshot(*g, part, f, GraphView::kNew, 2);
-    ASSERT_NE(frag.csr, nullptr);
-    EXPECT_EQ(frag.csr->NumNodes(), g->NumNodes());
-    EXPECT_EQ(frag.candidates.NumOwned(), frag.members.size());
-    NodeSet include(g->NumNodes());
-    for (NodeId v : frag.members) include.Add(v);
-    for (NodeId v : frag.halo) include.Add(v);
-    // No halo node is owned.
-    for (NodeId v : frag.halo) EXPECT_FALSE(frag.Owns(v));
-    // Edge sets: per included node, the induced adjacency is the global
-    // adjacency filtered to included endpoints; excluded nodes are husks.
-    for (NodeId v = 0; v < g->NumNodes(); ++v) {
-      size_t induced = 0;
-      frag.csr->ForEachOutEdge(v, [&](LabelId label, NodeId w) {
-        ++induced;
-        EXPECT_TRUE(include.Contains(v));
-        EXPECT_TRUE(include.Contains(w));
-        EXPECT_TRUE(g->HasEdge(v, w, label, GraphView::kNew));
-      });
-      if (!include.Contains(v)) {
-        EXPECT_EQ(induced, 0u);
-        continue;
-      }
-      size_t expected = 0;
-      for (const AdjEntry& e : g->OutEdges(v)) {
-        if (EdgeInView(e.state, GraphView::kNew) && include.Contains(e.other)) {
-          ++expected;
+  for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
+    for (int hops : {1, 2}) {
+      const FragmentRuntime rt(*g, p, view, hops);
+      const Partition& part = rt.partition();
+      for (int f = 0; f < p; ++f) {
+        SCOPED_TRACE("fragment " + std::to_string(f) + " hops " +
+                     std::to_string(hops));
+        const FragmentSnapshot& frag = rt.fragment(f);
+        EXPECT_EQ(frag.candidates.NumOwned(), part.members[f].size());
+        std::vector<NodeId> want;
+        const NodeSet ball =
+            DHopNeighborhood(*g, part.boundary[f], hops, view);
+        for (NodeId v : ball.members()) {
+          if (part.fragment_of[v] != f) want.push_back(v);
         }
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(frag.halo, want);
       }
-      EXPECT_EQ(induced, expected) << "node " << v << " fragment " << f;
     }
   }
+}
+
+TEST(FragmentSnapshotTest, ViolationsLieInTheSeedingFragment) {
+  // Nothing confines a search to members ∪ halo on the shared CSR; the
+  // locality argument does. Every violation's start-node binding is owned
+  // by the fragment that seeded it, and all its nodes must lie within
+  // that fragment's members ∪ halo.
+  size_t through_halo = 0;
+  for (int c = 0; c < FragCases(); ++c) {
+    const uint64_t seed = 3000 + 13 * static_cast<uint64_t>(c);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    RandomWorkload w = MakeRandomWorkload(seed, &rng);
+    if (w.sigma.size() == 0) continue;
+    for (int p : {2, 4}) {
+      const FragmentRuntime rt(*w.graph, p, GraphView::kNew,
+                               w.sigma.MaxDiameter());
+      PDectOptions opts;
+      opts.num_processors = p;
+      opts.runtime = &rt;
+      const PDectResult r = PDect(*w.graph, w.sigma, opts);
+      for (const Violation& v : r.vio.items()) {
+        const int start = ChooseStartNode(w.sigma[v.ngd_index].pattern(),
+                                          GraphAccessor(rt.snapshot()));
+        const int owner = rt.OwnerOf(v.nodes[start]);
+        const std::vector<NodeId>& halo = rt.fragment(owner).halo;
+        bool used_halo = false;
+        for (NodeId u : v.nodes) {
+          if (rt.OwnerOf(u) == owner) continue;
+          used_halo = true;
+          EXPECT_TRUE(std::binary_search(halo.begin(), halo.end(), u))
+              << "rule " << v.ngd_index << " node " << u << " p " << p;
+        }
+        if (used_halo) ++through_halo;
+      }
+    }
+  }
+  EXPECT_GT(through_halo, 0u);  // the check reached the halo at all
 }
 
 TEST(FragmentSnapshotTest, OwnedCandidatesPartitionTheLabel) {

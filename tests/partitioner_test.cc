@@ -5,11 +5,18 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/snapshot.h"
 #include "parallel/partitioner.h"
 #include "parallel/work_unit.h"
 
 namespace ngd {
 namespace {
+
+/// `view` of g partitioned through its CSR, as FragmentRuntime does.
+Partition PartitionView(const Graph& g, int p,
+                        GraphView view = GraphView::kNew) {
+  return PartitionGraph(GraphSnapshot(g, view), p);
+}
 
 /// Brute-force recount of the partition's derived structure straight from
 /// the graph: crossing edges, per-fragment sizes, and boundary sets.
@@ -45,7 +52,7 @@ Recount RecountFromGraph(const Graph& g, const Partition& r,
 TEST(PartitionerTest, CoversAllNodes) {
   SchemaPtr schema = Schema::Create();
   auto g = GenerateGraph(SyntheticConfig(500, 1500, 3), schema);
-  Partition r = PartitionGraph(*g, 4);
+  Partition r = PartitionView(*g, 4);
   ASSERT_EQ(r.fragment_of.size(), g->NumNodes());
   size_t total = 0;
   for (size_t s : r.fragment_sizes) total += s;
@@ -59,7 +66,7 @@ TEST(PartitionerTest, CoversAllNodes) {
 TEST(PartitionerTest, FragmentsAreBalanced) {
   SchemaPtr schema = Schema::Create();
   auto g = GenerateGraph(SyntheticConfig(1000, 3000, 4), schema);
-  Partition r = PartitionGraph(*g, 5);
+  Partition r = PartitionView(*g, 5);
   size_t expected = g->NumNodes() / 5;
   for (size_t s : r.fragment_sizes) {
     EXPECT_GE(s, expected * 7 / 10);
@@ -70,7 +77,7 @@ TEST(PartitionerTest, FragmentsAreBalanced) {
 TEST(PartitionerTest, SinglePartitionHasNoCrossingEdges) {
   SchemaPtr schema = Schema::Create();
   auto g = GenerateGraph(SyntheticConfig(200, 500, 5), schema);
-  Partition r = PartitionGraph(*g, 1);
+  Partition r = PartitionView(*g, 1);
   EXPECT_EQ(r.crossing_edges, 0u);
   EXPECT_EQ(r.fragment_sizes[0], g->NumNodes());
   EXPECT_TRUE(r.boundary[0].empty());
@@ -95,7 +102,7 @@ TEST(PartitionerTest, LocalityBeatsRandomAssignment) {
       ASSERT_TRUE(g.AddEdge(base - 1, base, e).ok());
     }
   }
-  Partition ldg = PartitionGraph(g, 5);
+  Partition ldg = PartitionView(g, 5);
   size_t random_cut = 0;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     for (const auto& adj : g.OutEdges(v)) {
@@ -112,7 +119,7 @@ TEST(PartitionerTest, DerivedStructureMatchesBruteForce) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     auto g = GenerateGraph(SyntheticConfig(300, 900, seed), schema);
     for (int p : {2, 3, 8}) {
-      Partition r = PartitionGraph(*g, p);
+      Partition r = PartitionView(*g, p);
       Recount want = RecountFromGraph(*g, r);
       EXPECT_EQ(r.crossing_edges, want.crossing_edges)
           << "seed " << seed << " p " << p;
@@ -132,8 +139,8 @@ TEST(PartitionerTest, DerivedStructureMatchesBruteForce) {
 TEST(PartitionerTest, DeterministicAcrossRuns) {
   SchemaPtr schema = Schema::Create();
   auto g = GenerateGraph(SyntheticConfig(400, 1200, 9), schema);
-  Partition a = PartitionGraph(*g, 4);
-  Partition b = PartitionGraph(*g, 4);
+  Partition a = PartitionView(*g, 4);
+  Partition b = PartitionView(*g, 4);
   EXPECT_EQ(a.fragment_of, b.fragment_of);
   EXPECT_EQ(a.crossing_edges, b.crossing_edges);
 }
@@ -158,7 +165,7 @@ TEST(PartitionerTest, EveryFragmentStaysUnderCapacity) {
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     const Graph& g = *graphs[gi];
     for (int p = 1; p <= 8; ++p) {
-      Partition r = PartitionGraph(g, p);
+      Partition r = PartitionView(g, p);
       const double bound = static_cast<double>(g.NumNodes()) / p + 2.0;
       for (int f = 0; f < p; ++f) {
         EXPECT_LT(static_cast<double>(r.fragment_sizes[f]), bound)
@@ -179,8 +186,8 @@ TEST(PartitionerTest, RespectsGraphView) {
   for (int i = 0; i < 8; ++i) g.AddNode(n);
   for (NodeId v = 0; v + 1 < 8; ++v) ASSERT_TRUE(g.AddEdge(v, v + 1, e).ok());
   ASSERT_TRUE(g.DeleteEdge(2, 3, e).ok());  // pending: gone in kNew only
-  Partition rold = PartitionGraph(g, 2, GraphView::kOld);
-  Partition rnew = PartitionGraph(g, 2, GraphView::kNew);
+  Partition rold = PartitionView(g, 2, GraphView::kOld);
+  Partition rnew = PartitionView(g, 2, GraphView::kNew);
   EXPECT_EQ(rold.crossing_edges,
             RecountFromGraph(g, rold, GraphView::kOld).crossing_edges);
   EXPECT_EQ(rnew.crossing_edges,

@@ -1,6 +1,6 @@
 // GraphSnapshot (CSR, label-partitioned adjacency) correctness.
 //
-// Two layers of coverage:
+// Four layers of coverage:
 //   1. Structural unit tests: the CSR ranges, candidate arrays, flat
 //      attributes and binary-search HasEdge agree with the live Graph on
 //      hand-built graphs, including overlay states and both views.
@@ -14,6 +14,9 @@
 //      build, snapshots held across mutations must not change, and four
 //      threads race the first request after a Commit (the TSan CI job
 //      runs this suite under the `graph` label).
+//   4. A Graph materialized from a loaded snapshot starts with that
+//      snapshot's core as its committed CSR and copies it before the
+//      first refresh, leaving the loaded snapshot unchanged.
 
 #include <gtest/gtest.h>
 
@@ -342,13 +345,12 @@ TEST(SnapshotFixtureTest, PaperRulesAgreeLiveVsSnapshot) {
 
 // ---- The committed CSR: refresh == full build ------------------------------
 
-/// Every node included: the `include` constructor always builds from the
-/// live lists and never touches the Graph's committed CSR, so it is the
-/// reference for the shared, refreshed one.
+/// A copy of a Graph starts without a committed CSR, so a snapshot of
+/// the copy is built from the live lists: the reference for the shared,
+/// refreshed one.
 GraphSnapshot FullBuild(const Graph& g, GraphView view) {
-  NodeSet all(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) all.Add(v);
-  return GraphSnapshot(g, view, all);
+  const Graph copy = g;
+  return GraphSnapshot(copy, view);
 }
 
 /// v's out-adjacency in `snap` as (label, neighbor) pairs, label-ascending
@@ -589,6 +591,58 @@ TEST(CommittedCsrTest, ConcurrentFirstRequestsAfterCommitAgree) {
       for (const Violation& v : want.items()) EXPECT_TRUE(got[t].Contains(v));
     }
   }
+}
+
+// ---- A Graph materialized from a loaded snapshot adopts its core ---------
+
+/// A random graph's snapshot, serialized and loaded back under `schema`.
+std::unique_ptr<GraphSnapshot> LoadedSnapshot(uint64_t seed,
+                                              const SchemaPtr& schema) {
+  auto source = GenerateGraph(SyntheticConfig(200, 600, seed), schema);
+  auto image = SerializeSnapshot(GraphSnapshot(*source, GraphView::kNew));
+  EXPECT_TRUE(image.ok());
+  auto loaded = DeserializeSnapshot(*image, schema);
+  EXPECT_TRUE(loaded.ok());
+  return std::move(*loaded);
+}
+
+TEST(AdoptedCoreTest, MaterializedGraphServesTheLoadedCore) {
+  SchemaPtr schema = Schema::Create();
+  const auto loaded = LoadedSnapshot(5, schema);
+  auto g = MaterializeGraph(*loaded);
+  ASSERT_TRUE(g.ok());
+  const GraphSnapshot adopted(**g, GraphView::kOld);
+  // Shared, not rebuilt: the candidate array is the loaded snapshot's.
+  const LabelId l = adopted.NodeLabel(0);
+  EXPECT_EQ(adopted.NodesWithLabel(l).ptr, loaded->NodesWithLabel(l).ptr);
+  // And equal to a build from the live lists, array by array: a
+  // serialized image holds every array of the core.
+  const GraphSnapshot want = FullBuild(**g, GraphView::kOld);
+  ExpectSameSnapshot(**g, GraphView::kOld, adopted, want, "adopted");
+  auto got_image = SerializeSnapshot(adopted);
+  auto want_image = SerializeSnapshot(want);
+  ASSERT_TRUE(got_image.ok() && want_image.ok());
+  EXPECT_TRUE(*got_image == *want_image);
+}
+
+TEST(AdoptedCoreTest, LoadedSnapshotStaysUnchangedAsTheGraphMutates) {
+  SchemaPtr schema = Schema::Create();
+  const auto loaded = LoadedSnapshot(6, schema);
+  const uint64_t fp = SnapshotFingerprint(*loaded);
+  auto g = MaterializeGraph(*loaded);
+  ASSERT_TRUE(g.ok());
+  Graph& graph = **g;
+  { const GraphSnapshot first(graph, GraphView::kOld); }
+  const LabelId e = schema->InternLabel("e");
+  ASSERT_TRUE(graph.AddEdge(0, 1, e).ok());
+  ASSERT_TRUE(graph.InsertEdge(1, 2, e).ok());
+  graph.Commit();
+  graph.SetAttr(3, schema->InternAttr("score"), Value(int64_t{7}));
+  const GraphSnapshot after(graph, GraphView::kOld);
+  EXPECT_EQ(SnapshotFingerprint(*loaded), fp);
+  EXPECT_NE(SnapshotFingerprint(after), fp);
+  ExpectSameSnapshot(graph, GraphView::kOld, after,
+                     FullBuild(graph, GraphView::kOld), "after mutation");
 }
 
 }  // namespace
