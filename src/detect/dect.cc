@@ -7,9 +7,8 @@ namespace ngd {
 namespace {
 
 /// Resolves a SnapshotMode to a concrete build-the-snapshot decision
-/// (kAuto defers to WantSnapshot on `view`).
-bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
-                     GraphView view) {
+/// (kAuto defers to WantSnapshot).
+bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode) {
   switch (mode) {
     case SnapshotMode::kAlways:
       return true;
@@ -18,7 +17,7 @@ bool ResolveSnapshot(const Graph& g, const NgdSet& sigma, SnapshotMode mode,
     case SnapshotMode::kAuto:
       break;
   }
-  return WantSnapshot(g, sigma, view);
+  return WantSnapshot(g, sigma);
 }
 
 /// Runs one detection sweep over every rule in Σ (already minimized —
@@ -42,13 +41,13 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
                 VioSet* sink) {
   std::optional<GraphSnapshot> owned_snap;
   const GraphSnapshot* snap = opts.snapshot;
-  if (snap == nullptr &&
-      ResolveSnapshot(g, sigma, opts.snapshot_mode, opts.view)) {
-    owned_snap.emplace(g, opts.view);
+  if (snap == nullptr && ResolveSnapshot(g, sigma, opts.snapshot_mode)) {
+    owned_snap.emplace(g, GraphView::kNew);
     snap = &*owned_snap;
   }
-  const GraphAccessor graph =
-      snap != nullptr ? GraphAccessor(*snap) : GraphAccessor(g, opts.view);
+  const GraphAccessor graph = snap != nullptr
+                                  ? GraphAccessor(*snap)
+                                  : GraphAccessor(g, GraphView::kNew);
   DetectRunInfo local_info;
   DetectRunInfo* info = opts.run_info != nullptr ? opts.run_info : &local_info;
   info->StartFull(sigma.size());
@@ -90,18 +89,18 @@ void SweepRules(const Graph& g, const NgdSet& sigma, const DectOptions& opts,
 
 }  // namespace
 
-bool WantSnapshot(const Graph& g, const NgdSet& sigma, GraphView view) {
+bool WantSnapshot(const Graph& g, const NgdSet& sigma) {
   // Guard and seed counting agree on the view being detected: a graph
-  // whose edges are all pending in the OTHER view must not pay a build
-  // for an edge-empty snapshot.
-  if (g.NumEdges(view) == 0) return false;
+  // whose edges are all pending deletion must not pay a build for an
+  // edge-empty snapshot.
+  if (g.NumEdges(GraphView::kNew) == 0) return false;
   // Σ_f |C(start_f)| approximates how many seed expansions the sweep
   // performs; each streams an adjacency of average length 2|E|/|V|,
   // while the snapshot build streams the adjacency a constant number of
   // times with a sort-like constant. Seed volume ≥ 8|V| ⇒ the live engine
   // would touch well over an order of magnitude more entries than the
   // build, so the snapshot amortizes within this call.
-  const GraphAccessor acc(g, view);
+  const GraphAccessor acc(g, GraphView::kNew);
   size_t seed_candidates = 0;
   const size_t threshold = 8 * g.NumNodes();
   for (size_t f = 0; f < sigma.size(); ++f) {

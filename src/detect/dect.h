@@ -4,7 +4,8 @@
 // sequential baseline extended from the GFD batch algorithm of [24].
 // Validation (G |= Σ?) is the question whether Dect returns nothing.
 //
-// Dect can build one CSR GraphSnapshot of the requested view per call
+// Dect detects on the graph's kNew view (committed edges plus any pending
+// overlay). It can build one CSR GraphSnapshot of that view per call
 // and amortize it across every rule in Σ
 // (label-partitioned adjacency makes the Matchn expansion memory-lean;
 // see graph/snapshot.h). The default SnapshotMode::kAuto decides by a
@@ -68,26 +69,23 @@ struct DetectControl {
 };
 
 struct DectOptions : DetectControl {
-  GraphView view = GraphView::kNew;
   /// Safety valve for adversarial rule sets: stop collecting per NGD after
   /// this many violations (0 = unlimited).
   size_t max_violations_per_ngd = 0;
   SnapshotMode snapshot_mode = SnapshotMode::kAuto;
   /// Pre-built CSR snapshot to match against — e.g. loaded from a binary
   /// snapshot file (graph/snapshot_io.h) or reused across calls. Must
-  /// describe `view` of `g`. When set it overrides snapshot_mode: the
+  /// describe the kNew view of `g`. When set it overrides snapshot_mode: the
   /// engine skips its own build and never falls back to the live graph.
   const GraphSnapshot* snapshot = nullptr;
 };
 
-/// The kAuto cost model, evaluated on `view` — the view detection will
-/// actually match (a pending-heavy overlay graph must not be judged by
-/// the other view's edges): build the snapshot iff `view` has edges and
-/// the seed-candidate volume of Σ (the adjacency the live engine would
-/// stream) is large enough to amortize the O(|E|) build within this one
-/// call.
-bool WantSnapshot(const Graph& g, const NgdSet& sigma,
-                  GraphView view = GraphView::kNew);
+/// The kAuto cost model, evaluated on the kNew view Dect matches (a
+/// pending-heavy overlay graph must not be judged by the kOld view's
+/// edges): build the snapshot iff kNew has edges and the seed-candidate
+/// volume of Σ (the adjacency the live engine would stream) is large
+/// enough to amortize the O(|E|) build within this one call.
+bool WantSnapshot(const Graph& g, const NgdSet& sigma);
 
 /// Vio(Σ, G): all violations of all NGDs in Σ.
 VioSet Dect(const Graph& g, const NgdSet& sigma, const DectOptions& opts = {});

@@ -186,6 +186,11 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
   std::string label_dict_bytes, attr_dict_bytes;
   NGD_RETURN_IF_ERROR(DictToArrays(snap.schema_->labels(), &label_dict_off,
                                    &label_dict_bytes));
+  // The core's label_off is sized to the schema when the core was built;
+  // labels interned since own no nodes, so their candidate ranges are
+  // empty: repeat the last offset up to the dictionary written beside it.
+  std::vector<uint32_t> label_off = c.label_off;
+  label_off.resize(snap.schema_->labels().size() + 1, label_off.back());
   NGD_RETURN_IF_ERROR(
       DictToArrays(snap.schema_->attrs(), &attr_dict_off, &attr_dict_bytes));
 
@@ -217,8 +222,7 @@ StatusOr<std::string> SnapshotCodec::Serialize(const GraphSnapshot& snap) {
       {kStrBytes, 1, str_bytes.size(), str_bytes.data()},
       {kLabelNodes, sizeof(NodeId), c.label_nodes.size(),
        c.label_nodes.data()},
-      {kLabelOff, sizeof(uint32_t), c.label_off.size(),
-       c.label_off.data()},
+      {kLabelOff, sizeof(uint32_t), label_off.size(), label_off.data()},
       {kLabelDictOff, sizeof(uint32_t), label_dict_off.size(),
        label_dict_off.data()},
       {kLabelDictBytes, 1, label_dict_bytes.size(), label_dict_bytes.data()},

@@ -108,7 +108,7 @@ class FragmentDectEngine {
       const size_t matched = e_->plans_[rule_].seeds.size() + at.step;
       if (!at.sliced() &&
           HandoffPays(opts.latency_c, matched, seq_len, e_->p_)) {
-        if (!owned && seq_len >= opts.min_forward_adjacency) {
+        if (!owned) {
           // Boundary-crossing match: ship the k+1 bound nodes to the
           // anchor's owner, which scans its own (owned) adjacency.
           // Exact: all nodes of any completion are within d_Σ of the
@@ -117,15 +117,13 @@ class FragmentDectEngine {
                             e_->MakeUnit(rule_, owner, at, binding));
           return true;
         }
-        if (seq_len >= opts.min_split_adjacency) {
-          SplitStep(&e_->metrics_, e_->p_, at, seq_len,
-                    [&](int target, const ResumePoint& slice) {
-                      e_->pool_.Spawn(worker_, target,
-                                      e_->MakeUnit(rule_, home_, slice,
-                                                   binding));
-                    });
-          return true;
-        }
+        SplitStep(&e_->metrics_, e_->p_, at, seq_len,
+                  [&](int target, const ResumePoint& slice) {
+                    e_->pool_.Spawn(worker_, target,
+                                    e_->MakeUnit(rule_, home_, slice,
+                                                 binding));
+                  });
+        return true;
       }
       if (!owned) ++halo_scans;  // local read of a replica
       return false;
@@ -224,8 +222,8 @@ PDectResult PDect(const Graph& g, const NgdSet& sigma,
         std::optional<FragmentRuntime> owned_rt;
         const FragmentRuntime* rt = o.runtime;
         if (rt == nullptr || rt->num_fragments() != p ||
-            rt->view() != o.view || rt->halo_hops() < d_sigma) {
-          owned_rt.emplace(g, p, o.view, d_sigma);
+            rt->view() != GraphView::kNew || rt->halo_hops() < d_sigma) {
+          owned_rt.emplace(g, p, GraphView::kNew, d_sigma);
           rt = &*owned_rt;
         }
         FragmentDectEngine engine(rules, o, *rt);

@@ -41,19 +41,18 @@ namespace ngd {
 /// before the stop.
 struct PDectOptions : DetectControl {
   int num_processors = 4;
-  GraphView view = GraphView::kNew;
   /// Pre-built fragment runtime to amortize partitioning + halo builds
   /// across calls (benchmarks, long-lived services). Used when it
-  /// matches: num_fragments == num_processors, same view, halo_hops >=
-  /// max pattern diameter of Σ; otherwise the engine builds its own.
+  /// matches: num_fragments == num_processors, view kNew (PDect detects
+  /// the kNew view, as Dect does), halo_hops >= max pattern diameter of
+  /// Σ; otherwise the engine builds its own.
   const FragmentRuntime* runtime = nullptr;
   /// Communication-latency constant C of the hybrid cost model (the
-  /// paper fixes 60; Fig. 4(m) varies it).
+  /// paper fixes 60; Fig. 4(m) varies it). It alone decides every
+  /// forward and split: HandoffPays needs |adj|·(1 − 1/p) > C·(k+1) with
+  /// k ≥ 1 bound nodes, so no adjacency of 2C or fewer entries is ever
+  /// handed off.
   double latency_c = 60.0;
-  /// Halo-anchored expansions never forward below this adjacency length.
-  size_t min_forward_adjacency = 8;
-  /// Owned adjacencies never split below this length.
-  size_t min_split_adjacency = 64;
   /// Producer backpressure: a worker whose mid-run spawn (split slice,
   /// forward, child unit) targets a queue at or past this depth executes
   /// the unit inline instead of enqueueing it, bounding queue state under

@@ -87,7 +87,6 @@ class PIncDectEngine {
     // Exactly-once canonical emission keeps per-worker deltas globally
     // disjoint.
     result.delta = run_.MergeFinished();
-    result.candidate_neighborhood_nodes = nc.size();
     result.metrics = SnapshotOf(metrics_);
     result.truncated = run_.FinishRunInfo();
     return result;
@@ -139,7 +138,6 @@ class PIncDectEngine {
         return true;
       }
       if (at.sliced() || !opts.enable_split ||
-          seq_len < opts.min_split_adjacency ||
           !HandoffPays(opts.latency_c, plan_.seeds.size() + at.step,
                        seq_len, e_->p_)) {
         return false;

@@ -55,7 +55,10 @@ struct PIncDectOptions : DetectControl {
   /// shared read-only by all simulated processors and reused across
   /// batches by callers that maintain one per commit epoch.
   const GraphSnapshot* base_snapshot = nullptr;
-  /// Communication-latency constant C of the cost model (paper fixes 60).
+  /// Communication-latency constant C of the cost model (paper fixes 60;
+  /// Fig. 4(m) varies it). It alone decides every split: HandoffPays
+  /// needs |adj|·(1 − 1/p) > C·(k+1) with k ≥ 1 bound nodes, so no
+  /// adjacency of 2C or fewer entries is ever split.
   double latency_c = 60.0;
   /// Balancer wake-up interval in milliseconds (paper: 45 s at cluster
   /// scale; milliseconds at this scale — EXPERIMENTS.md §1 "Scale
@@ -63,9 +66,6 @@ struct PIncDectOptions : DetectControl {
   int balance_interval_ms = 45;
   bool enable_split = true;    ///< off = PIncDect_ns
   bool enable_balance = true;  ///< off = PIncDect_nb
-  /// Adjacency lists shorter than this never split (guard against
-  /// degenerate splits of tiny lists).
-  size_t min_split_adjacency = 8;
   /// Producer backpressure (see PDectOptions::max_queue_depth): mid-run
   /// split broadcasts and child spawns targeting a queue at or past this
   /// depth execute inline on the producing worker. 0 disables; initial
@@ -77,9 +77,9 @@ struct PIncDectResult {
   DeltaVio delta;
   /// True iff the run was cut short and some rule's ΔVio is incomplete.
   bool truncated = false;
-  size_t candidate_neighborhood_nodes = 0;
   /// Communication / balancing counters, the same shape PDectResult
-  /// carries. replicated_nodes = |N_C|·(p-1); messages = the N_C
+  /// carries. replicated_nodes = |N_C|·(p-1), so |N_C| itself reads
+  /// replicated_nodes / (p-1) for p > 1; messages = the N_C
   /// broadcast round + split broadcasts + balancer moves + steals.
   ClusterMetricsSnapshot metrics;
 };

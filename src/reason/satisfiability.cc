@@ -30,39 +30,47 @@ class ObligationSolver {
   }
 
  private:
-  /// Applies "literal lit must be TRUE under h": encodes, requires
-  /// presence, branches over numeric alternatives via `cont`.
+  /// Branches over the ways the encoded literal `enc` holds with every
+  /// attribute it reads present: one string fact (`string_fact` is the
+  /// truth value it asserts), or each numeric alternative in turn, each
+  /// handed to `cont`. kNeverTrue has no way to hold.
   template <typename Cont>
-  Decision AssertTrue(const Literal& lit, const Binding& h,
-                      const ConstraintSystem& cs, const Cont& cont) {
-    auto enc = EncodeLiteral(lit, /*positive=*/true, h, vars_);
-    if (!enc.ok()) return Decision::kUnknown;  // outside encoder fragment
-    if (enc->cls == LitClass::kNeverTrue) return Decision::kNo;
-    Decision result = Decision::kNo;
-    if (enc->cls == LitClass::kString) {
-      ConstraintSystem next = cs;
-      for (int v : enc->attr_vars) {
-        if (!next.RequirePresent(v)) return Decision::kNo;
+  Decision AssertPresent(const EncodedLiteral& enc, bool string_fact,
+                         const ConstraintSystem& cs, const Cont& cont) {
+    if (enc.cls == LitClass::kNeverTrue) return Decision::kNo;
+    auto require_present = [&](ConstraintSystem* next) {
+      for (int v : enc.attr_vars) {
+        if (!next->RequirePresent(v)) return false;
       }
-      if (!next.AddStringFact(*enc, true)) return Decision::kNo;
+      return true;
+    };
+    if (enc.cls == LitClass::kString) {
+      ConstraintSystem next = cs;
+      if (!require_present(&next) || !next.AddStringFact(enc, string_fact)) {
+        return Decision::kNo;
+      }
       return cont(next);
     }
-    for (const NumericAlt& alt : enc->alts) {
+    Decision result = Decision::kNo;
+    for (const NumericAlt& alt : enc.alts) {
       ConstraintSystem next = cs;
-      bool ok = true;
-      for (int v : enc->attr_vars) {
-        if (!next.RequirePresent(v)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
+      if (!require_present(&next)) continue;
       for (const LinConstraint& c : alt.constraints) next.AddNumeric(c);
       Decision d = cont(next);
       if (d == Decision::kYes) return d;
       if (d == Decision::kUnknown) result = Decision::kUnknown;
     }
     return result;
+  }
+
+  /// Applies "literal lit must be TRUE under h": encodes it, then
+  /// requires its attributes present and branches over its alternatives.
+  template <typename Cont>
+  Decision AssertTrue(const Literal& lit, const Binding& h,
+                      const ConstraintSystem& cs, const Cont& cont) {
+    auto enc = EncodeLiteral(lit, /*positive=*/true, h, vars_);
+    if (!enc.ok()) return Decision::kUnknown;  // outside encoder fragment
+    return AssertPresent(*enc, /*string_fact=*/true, cs, cont);
   }
 
   /// Applies "literal lit must be FALSE under h": either some attribute
@@ -83,39 +91,8 @@ class ObligationSolver {
       if (d == Decision::kUnknown) result = Decision::kUnknown;
     }
     // Option (b): attributes present, comparison negated.
-    if (enc->cls == LitClass::kNeverTrue) return result;
-    if (enc->cls == LitClass::kString) {
-      ConstraintSystem next = cs;
-      bool ok = true;
-      for (int v : enc->attr_vars) {
-        if (!next.RequirePresent(v)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok && next.AddStringFact(*enc, false)) {
-        Decision d = cont(next);
-        if (d == Decision::kYes) return d;
-        if (d == Decision::kUnknown) result = Decision::kUnknown;
-      }
-      return result;
-    }
-    for (const NumericAlt& alt : enc->alts) {
-      ConstraintSystem next = cs;
-      bool ok = true;
-      for (int v : enc->attr_vars) {
-        if (!next.RequirePresent(v)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      for (const LinConstraint& c : alt.constraints) next.AddNumeric(c);
-      Decision d = cont(next);
-      if (d == Decision::kYes) return d;
-      if (d == Decision::kUnknown) result = Decision::kUnknown;
-    }
-    return result;
+    const Decision d = AssertPresent(*enc, /*string_fact=*/false, cs, cont);
+    return d == Decision::kNo ? result : d;
   }
 
   /// Asserts every literal in `lits[from..]` true, then calls `done`.

@@ -12,21 +12,14 @@ namespace ngd {
 
 namespace {
 
-/// Cap on helper rules passed to one implication check (obligations grow
-/// with every helper's matches on the canonical model).
-constexpr size_t kMaxHelpers = 6;
-
 // ---- Structural serialization -------------------------------------------
 //
 // Rules serialize to strings over label/attr NAMES (not interned ids), so
 // equal strings mean detection-equivalent rules regardless of which Schema
-// instance interned what in which order. Two variants share the code path:
-// exact (constants included — duplicate detection, fingerprints, cache
-// keys) and wiped (integer/string constants replaced by '#' — the
-// isomorphism-modulo-constants bucketing key).
+// instance interned what in which order: the key of duplicate detection,
+// fingerprints and the kept-set cache.
 
-void AppendExpr(const Expr& e, const Dictionary& attrs, bool wipe_constants,
-                std::string* out) {
+void AppendExpr(const Expr& e, const Dictionary& attrs, std::string* out) {
   if (!e.IsValid()) {
     out->append("<nil>");
     return;
@@ -34,15 +27,11 @@ void AppendExpr(const Expr& e, const Dictionary& attrs, bool wipe_constants,
   switch (e.kind()) {
     case Expr::Kind::kIntConst:
       out->push_back('i');
-      out->append(wipe_constants ? "#" : std::to_string(e.int_value()));
+      out->append(std::to_string(e.int_value()));
       return;
     case Expr::Kind::kStrConst:
       out->push_back('s');
-      if (wipe_constants) {
-        out->push_back('#');
-      } else {
-        out->append(e.str_value());
-      }
+      out->append(e.str_value());
       out->push_back('\x01');
       return;
     case Expr::Kind::kVarAttr:
@@ -61,36 +50,35 @@ void AppendExpr(const Expr& e, const Dictionary& attrs, bool wipe_constants,
                       : e.kind() == Expr::Kind::kMul ? '*'
                                                      : '/';
       out->push_back('(');
-      AppendExpr(e.lhs(), attrs, wipe_constants, out);
+      AppendExpr(e.lhs(), attrs, out);
       out->push_back(op);
-      AppendExpr(e.rhs(), attrs, wipe_constants, out);
+      AppendExpr(e.rhs(), attrs, out);
       out->push_back(')');
       return;
     }
     case Expr::Kind::kNeg:
       out->append("(~");
-      AppendExpr(e.lhs(), attrs, wipe_constants, out);
+      AppendExpr(e.lhs(), attrs, out);
       out->push_back(')');
       return;
     case Expr::Kind::kAbs:
       out->append("(|");
-      AppendExpr(e.lhs(), attrs, wipe_constants, out);
+      AppendExpr(e.lhs(), attrs, out);
       out->append("|)");
       return;
   }
 }
 
 void AppendLiteral(const Literal& lit, const Dictionary& attrs,
-                   bool wipe_constants, std::string* out) {
-  AppendExpr(lit.lhs(), attrs, wipe_constants, out);
+                   std::string* out) {
+  AppendExpr(lit.lhs(), attrs, out);
   out->push_back(' ');
   out->append(CmpOpName(lit.op()));
   out->push_back(' ');
-  AppendExpr(lit.rhs(), attrs, wipe_constants, out);
+  AppendExpr(lit.rhs(), attrs, out);
 }
 
-void AppendRule(const Ngd& ngd, const SchemaPtr& schema, bool wipe_constants,
-                std::string* out) {
+void AppendRule(const Ngd& ngd, const SchemaPtr& schema, std::string* out) {
   const Dictionary& labels = schema->labels();
   const Dictionary& attrs = schema->attrs();
   const Pattern& p = ngd.pattern();
@@ -111,12 +99,12 @@ void AppendRule(const Ngd& ngd, const SchemaPtr& schema, bool wipe_constants,
   }
   out->push_back('X');
   for (const Literal& l : ngd.X()) {
-    AppendLiteral(l, attrs, wipe_constants, out);
+    AppendLiteral(l, attrs, out);
     out->push_back(';');
   }
   out->push_back('Y');
   for (const Literal& l : ngd.Y()) {
-    AppendLiteral(l, attrs, wipe_constants, out);
+    AppendLiteral(l, attrs, out);
     out->push_back(';');
   }
 }
@@ -124,7 +112,7 @@ void AppendRule(const Ngd& ngd, const SchemaPtr& schema, bool wipe_constants,
 std::string SerializeSigma(const NgdSet& sigma, const SchemaPtr& schema) {
   std::string out;
   for (const Ngd& ngd : sigma.ngds()) {
-    AppendRule(ngd, schema, /*wipe_constants=*/false, &out);
+    AppendRule(ngd, schema, &out);
     out.push_back('\n');
   }
   return out;
@@ -162,8 +150,7 @@ void CollectLiteralAttrs(const std::vector<Literal>& lits,
 
 /// Precomputed per-rule structural facts for the pre-filter.
 struct RuleInfo {
-  std::string serialized;  ///< exact (duplicate detection)
-  std::string shape_key;   ///< constants wiped (bucketing)
+  std::string serialized;     ///< duplicate detection
   std::vector<AttrId> attrs;  ///< sorted distinct attrs of X ∪ Y
   bool valid = false;
   bool has_consequence = false;  ///< Y non-empty — can constrain anything
@@ -172,8 +159,7 @@ struct RuleInfo {
 RuleInfo MakeRuleInfo(const Ngd& ngd, const SchemaPtr& schema) {
   RuleInfo info;
   info.valid = ngd.Validate().ok();
-  AppendRule(ngd, schema, /*wipe_constants=*/false, &info.serialized);
-  AppendRule(ngd, schema, /*wipe_constants=*/true, &info.shape_key);
+  AppendRule(ngd, schema, &info.serialized);
   CollectLiteralAttrs(ngd.X(), &info.attrs);
   CollectLiteralAttrs(ngd.Y(), &info.attrs);
   std::sort(info.attrs.begin(), info.attrs.end());
@@ -340,26 +326,19 @@ MinimizedSigma MinimizeSigma(const NgdSet& sigma, const SchemaPtr& schema,
   // drop order, the final kept set implies every dropped rule.
   for (size_t i = 0; i < n; ++i) {
     if (!alive[i] || !info[i].valid) continue;
-    // Helper selection: same-bucket rules (isomorphic-modulo-constants —
-    // the weakened-variant / near-duplicate shape) first, then any other
-    // structurally compatible rule, capped.
+    // Helpers: every other alive rule the structural pre-filter admits,
+    // in index order.
     std::vector<int> helpers;
-    std::vector<int> others;
     for (size_t j = 0; j < n; ++j) {
       if (j == i || !alive[j]) continue;
-      if (!CompatibleHelper(info[j], info[i], sigma[j], sigma[i])) continue;
-      if (info[j].shape_key == info[i].shape_key) {
+      if (CompatibleHelper(info[j], info[i], sigma[j], sigma[i])) {
         helpers.push_back(static_cast<int>(j));
-      } else {
-        others.push_back(static_cast<int>(j));
       }
     }
-    helpers.insert(helpers.end(), others.begin(), others.end());
     if (helpers.empty()) {
       ++report.prefilter_skips;
       continue;
     }
-    if (helpers.size() > kMaxHelpers) helpers.resize(kMaxHelpers);
 
     NgdSet helper_set;
     for (int j : helpers) helper_set.Add(sigma[j]);

@@ -28,12 +28,16 @@
 //     label compatibility, wildcards one-sided: a helper wildcard matches
 //     anything, a helper constant never matches φ's wildcard nodes — those
 //     become fresh labels in the canonical model) and whose literals share
-//     an attribute with φ's;
-//   - helpers are ranked same-bucket-first (pattern-isomorphism-modulo-
-//     constants bucketing over a shape key with literal constants wiped)
-//     and capped, bounding the obligation blow-up per check.
-// Restricting helpers is sound: implication is monotone, so a kYes from a
-// subset is a kYes from Σ∖{φ}; the pre-filter can only miss drops.
+//     an attribute with φ's; the survivors go to the solver in index
+//     order;
+//   - the per-check budgets of SigmaOptimizerOptions bound one stubborn
+//     pair, which then keeps its rule (kUnknown).
+// Each stage is kept because a count shows it earns its place
+// (EXPERIMENTS.md §20): without the duplicate pass other copies survive,
+// without the pre-filter the kept set changes, and the budgets bound a
+// detection call. Restricting helpers is sound: implication is monotone,
+// so a kYes from a subset is a kYes from Σ∖{φ}; the pre-filter can only
+// miss drops.
 //
 // Engines consume the optimizer through the `minimize_sigma` mode of
 // DetectControl (detect/dect.h), the base of every engine's options

@@ -154,10 +154,8 @@ TEST(ClusterBackpressureTest, EnginesAgreeWithOracleAtDepthOne) {
       PDectOptions o;
       o.num_processors = 4;
       o.max_queue_depth = 1;
-      // Shrink the split/forward thresholds so the cost model actually
-      // fires on these small graphs and the inline paths get exercised.
-      o.min_forward_adjacency = 1;
-      o.min_split_adjacency = 2;
+      // C = 0 makes every hand-off pay, so the cost model fires on these
+      // small graphs and the inline paths get exercised.
       o.latency_c = 0.0;
       ExpectSameSorted(want, PDect(*w.graph, w.sigma, o).vio.Sorted(),
                        repro + " PDect depth-1");
@@ -177,7 +175,6 @@ TEST(ClusterBackpressureTest, EnginesAgreeWithOracleAtDepthOne) {
     PIncDectOptions po;
     po.num_processors = 4;
     po.max_queue_depth = 1;
-    po.min_split_adjacency = 1;
     po.latency_c = 0.0;
     auto pinc = PIncDect(*w.graph, w.sigma, batch, po);
     ASSERT_TRUE(pinc.ok()) << repro;

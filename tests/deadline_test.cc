@@ -57,6 +57,25 @@ std::set<std::string> VioLines(const VioSet& vio, const NgdSet& sigma) {
   return lines;
 }
 
+/// The failure message of a timed leg that overran its bound: enough to
+/// tell from the log alone how far past the deadline the run went, how
+/// much it emitted against the full run, whether it saw the stop, and,
+/// for a parallel leg, how its workers spent the time.
+std::string OverrunReport(int64_t deadline_ms, double elapsed_s,
+                          size_t records, size_t full_records,
+                          bool truncated,
+                          const ClusterMetricsSnapshot* metrics = nullptr) {
+  std::ostringstream os;
+  os << "deadline " << deadline_ms << " ms, elapsed " << elapsed_s * 1000.0
+     << " ms, records " << records << " of " << full_records
+     << " in the full run, truncated " << std::boolalpha << truncated;
+  if (metrics != nullptr) {
+    os << ", work_units " << metrics->work_units << ", steals "
+       << metrics->steals << ", inline_runs " << metrics->inline_runs;
+  }
+  return os.str();
+}
+
 /// Every violation of `part` must appear in `full` — partial, never wrong.
 void ExpectSubset(const VioSet& part, const VioSet& full, const NgdSet& sigma,
                   const std::string& what) {
@@ -299,7 +318,10 @@ TEST(DeadlineTest, HubWorkloadRespondsWithinTwiceTheDeadline) {
     const auto start = std::chrono::steady_clock::now();
     const VioSet vio = Dect(*w.graph, w.sigma, dopts);
     const double elapsed = Seconds(start);
-    EXPECT_LE(elapsed, kBound) << "Dect overran its deadline";
+    EXPECT_LE(elapsed, kBound)
+        << "Dect overran its deadline: "
+        << OverrunReport(kDeadlineMs, elapsed, vio.size(), full.size(),
+                         info.truncated);
     EXPECT_TRUE(info.truncated);
     ExpectSubset(vio, full, w.sigma, "Dect deadline");
   }
@@ -313,7 +335,10 @@ TEST(DeadlineTest, HubWorkloadRespondsWithinTwiceTheDeadline) {
     const auto start = std::chrono::steady_clock::now();
     const PDectResult pres = PDect(*w.graph, w.sigma, popts);
     const double elapsed = Seconds(start);
-    EXPECT_LE(elapsed, kBound) << "PDect overran its deadline";
+    EXPECT_LE(elapsed, kBound)
+        << "PDect overran its deadline: "
+        << OverrunReport(kDeadlineMs, elapsed, pres.vio.size(), full.size(),
+                         pres.truncated, &pres.metrics);
     // With 4 workers the deadline (sized off the sequential run) may not
     // fire; then the result must be the complete one.
     EXPECT_EQ(pres.truncated, info.truncated);
@@ -353,7 +378,12 @@ TEST(DeadlineTest, IncrementalHubWorkloadRespondsWithinTwiceTheDeadline) {
     auto delta = IncDect(*w.graph, w.sigma, batch, iopts);
     const double elapsed = Seconds(start);
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    EXPECT_LE(elapsed, kBound) << "IncDect overran its deadline";
+    EXPECT_LE(elapsed, kBound)
+        << "IncDect overran its deadline: "
+        << OverrunReport(kDeadlineMs, elapsed,
+                         delta->added.size() + delta->removed.size(),
+                         full->added.size() + full->removed.size(),
+                         info.truncated);
     EXPECT_TRUE(info.truncated);
     ExpectSubset(delta->added, full->added, w.sigma, "IncDect deadline");
   }
@@ -368,7 +398,13 @@ TEST(DeadlineTest, IncrementalHubWorkloadRespondsWithinTwiceTheDeadline) {
     auto pdelta = PIncDect(*w.graph, w.sigma, batch, piopts);
     const double elapsed = Seconds(start);
     ASSERT_TRUE(pdelta.ok()) << pdelta.status().ToString();
-    EXPECT_LE(elapsed, kBound) << "PIncDect overran its deadline";
+    EXPECT_LE(elapsed, kBound)
+        << "PIncDect overran its deadline: "
+        << OverrunReport(
+               kDeadlineMs, elapsed,
+               pdelta->delta.added.size() + pdelta->delta.removed.size(),
+               full->added.size() + full->removed.size(), pdelta->truncated,
+               &pdelta->metrics);
     // As above: 4 workers may beat the sequentially-sized deadline.
     EXPECT_EQ(pdelta->truncated, info.truncated);
     if (pdelta->truncated) {

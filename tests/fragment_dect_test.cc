@@ -209,7 +209,6 @@ TEST(FragmentPDectTest, ForwardingResolvesBoundaryCrossingHubs) {
   PDectOptions opts;
   opts.num_processors = 4;
   opts.latency_c = 1.0;  // aggressive shipping
-  opts.min_forward_adjacency = 8;
   PDectResult r = PDect(g, sigma, opts);
   ExpectSameVio(oracle, r.vio);
   EXPECT_GT(r.metrics.replicated_nodes, 0u);

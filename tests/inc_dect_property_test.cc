@@ -55,11 +55,12 @@ TEST_P(IncDectPropertyTest, DeltaEqualsBatchDiff) {
   UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
   ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
 
-  // The old view still reproduces Vio(Σ, G).
-  DectOptions old_view;
-  old_view.view = GraphView::kOld;
-  VioSet before_check = Dect(*g, sigma, old_view);
-  EXPECT_EQ(before.size(), before_check.size());
+  // The old view still reproduces Vio(Σ, G): Dect handed a snapshot of
+  // kOld under the pending batch.
+  const GraphSnapshot old_view(*g, GraphView::kOld);
+  DectOptions old_opts;
+  old_opts.snapshot = &old_view;
+  EXPECT_EQ(Dect(*g, sigma, old_opts).Sorted(), before.Sorted());
 
   auto delta = IncDect(*g, sigma, batch);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();

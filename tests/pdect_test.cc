@@ -60,8 +60,6 @@ TEST_P(PDectHandoffTest, ClosurePatternsMatchDectUnderHandoff) {
   PDectOptions opts;
   opts.num_processors = GetParam();
   opts.latency_c = 0.0;
-  opts.min_forward_adjacency = 1;
-  opts.min_split_adjacency = 2;
   PDectResult parallel = PDect(*g, sigma, opts);
   EXPECT_EQ(parallel.vio.Sorted(), oracle.Sorted());
   if (GetParam() > 1) {
@@ -131,8 +129,6 @@ TEST(PDectFixedTest, ForwardedUnitKeepsItsAnchor) {
   opts.num_processors = 2;
   opts.runtime = &rt;
   opts.latency_c = 0.0;
-  opts.min_forward_adjacency = 1;
-  opts.min_split_adjacency = 2;
   opts.deadline = Deadline::After(10000);
   PDectResult r = PDect(g, sigma, opts);
   EXPECT_FALSE(r.truncated);

@@ -52,6 +52,16 @@ void ExpectSameDelta(const DeltaVio& expected, const DeltaVio& actual) {
   }
 }
 
+/// |N_C| as a p-processor run meters it: N_C is replicated at the p − 1
+/// processors that do not hold it, so replicated_nodes = |N_C|·(p − 1).
+size_t CandidateNeighborhoodNodes(const ClusterMetricsSnapshot& m, int p) {
+  EXPECT_GT(p, 1);
+  if (p <= 1) return 0;
+  const uint64_t copies = static_cast<uint64_t>(p - 1);
+  EXPECT_EQ(m.replicated_nodes % copies, 0u);
+  return static_cast<size_t>(m.replicated_nodes / copies);
+}
+
 class PIncDectProcessorsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PIncDectProcessorsTest, MatchesSequentialIncDect) {
@@ -63,7 +73,11 @@ TEST_P(PIncDectProcessorsTest, MatchesSequentialIncDect) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameDelta(w.expected, result->delta);
   EXPECT_GT(result->metrics.work_units, 0u);
-  EXPECT_GT(result->candidate_neighborhood_nodes, 0u);
+  if (GetParam() > 1) {
+    EXPECT_GT(CandidateNeighborhoodNodes(result->metrics, GetParam()), 0u);
+  } else {
+    EXPECT_EQ(result->metrics.replicated_nodes, 0u);  // one holder, no copy
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Processors, PIncDectProcessorsTest,
@@ -106,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Closure-edge patterns on a hub graph with splitting forced on (C = 0,
-// every adjacency of two or more worth splitting), on both backends: the
+// every non-empty adjacency worth splitting), on both backends: the
 // walker chooses among several anchors per step, and every slice must
 // scan the anchor it was split on.
 class PIncDectHandoffTest : public ::testing::TestWithParam<int> {};
@@ -140,7 +154,6 @@ TEST_P(PIncDectHandoffTest, ClosurePatternsMatchIncDectUnderHandoff) {
     opts.num_processors = GetParam();
     opts.snapshot_mode = mode;
     opts.latency_c = 0.0;
-    opts.min_split_adjacency = 2;
     auto result = PIncDect(*g, sigma, batch, opts);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->delta.added.Sorted(), oracle->added.Sorted());
@@ -187,7 +200,6 @@ TEST(PIncDectTest, SplittingTriggersOnHubs) {
   PIncDectOptions opts;
   opts.num_processors = 4;
   opts.latency_c = 1.0;  // aggressive splitting
-  opts.min_split_adjacency = 8;
   auto result = PIncDect(g, *parsed, batch, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->metrics.splits, 0u);
@@ -225,8 +237,8 @@ TEST(PIncDectTest, ReplicationMetricsScaleWithProcessors) {
   auto r2 = PIncDect(*w.graph, w.sigma, w.batch, p2);
   auto r8 = PIncDect(*w.graph, w.sigma, w.batch, p8);
   ASSERT_TRUE(r2.ok() && r8.ok());
-  EXPECT_EQ(r2->candidate_neighborhood_nodes,
-            r8->candidate_neighborhood_nodes);
+  EXPECT_EQ(CandidateNeighborhoodNodes(r2->metrics, 2),
+            CandidateNeighborhoodNodes(r8->metrics, 8));
   EXPECT_GT(r8->metrics.replicated_nodes, r2->metrics.replicated_nodes);
 }
 

@@ -281,6 +281,60 @@ TEST(SigmaOptimizerDifferentialTest, AllEnginesAgreeUnderMinimization) {
   EXPECT_LT(dirty, ran);
 }
 
+// The scale leg: a reduced-scale copy of the benchmark's sparse Σ, built
+// as its `batch_sparse_par` workload builds it (50 generated rules on a
+// YAGO2-like graph, each inflated with 3 implied variants, 200 rules in
+// all), minimized once. Every violation of every dropped rule must be
+// covered by the kept rules, and the kept rules' violations must come
+// through minimized detection exactly.
+TEST(SigmaOptimizerScaleTest, SparseBenchmarkSigmaDropsOnlyCoveredRules) {
+#ifdef NGD_SANITIZED_BUILD
+  constexpr double kGraphScale = 0.0005;
+  constexpr size_t kRules = 20;
+#else
+  constexpr double kGraphScale = 0.002;
+  constexpr size_t kRules = 50;
+#endif
+  SchemaPtr schema = Schema::Create();
+  const std::unique_ptr<Graph> g =
+      GenerateGraph(Yago2LikeConfig(kGraphScale, 7), schema);
+  NgdGenOptions gen;
+  gen.count = kRules;
+  gen.max_diameter = 3;
+  gen.wildcard_prob = 0.05;
+  gen.violation_rate = 0.02;
+  gen.seed = 8;
+  InflateOptions inflate;
+  inflate.variants_per_rule = 3;
+  inflate.seed = 9;
+  const NgdSet sigma =
+      InflateWithImpliedVariants(GenerateNgdSet(*g, gen), inflate);
+  ASSERT_EQ(sigma.size(), 4 * kRules);
+
+  const MinimizedSigma m = MinimizeSigma(sigma, schema);
+  ASSERT_EQ(m.sigma.size(), m.report.kept.size());
+  EXPECT_FALSE(m.report.dropped.empty());
+
+  const VioSet full = Dect(*g, sigma);
+  DectOptions min_opts;
+  min_opts.minimize_sigma = MinimizeMode::kAlways;
+  ExpectSameVioSet(FilterToKept(full, m.report.kept),
+                   Dect(*g, sigma, min_opts), sigma,
+                   "scale-leg kept-rule violations", "scale leg");
+
+  const std::unordered_set<int> dropped(m.report.dropped.begin(),
+                                        m.report.dropped.end());
+  size_t checked = 0;
+  for (const Violation& v : full.items()) {
+    if (dropped.count(v.ngd_index) == 0) continue;
+    ++checked;
+    EXPECT_TRUE(CoveredByKept(*g, v, m.sigma))
+        << "no kept rule covers a violation of dropped rule "
+        << sigma[v.ngd_index].name() << " (scale leg)";
+  }
+  EXPECT_GT(checked, 0u) << "no dropped rule has a violation to cover";
+}
+
 // The fingerprint is the catalog's structural identity: invariant under
 // rule renaming and schema intern order, sensitive to any constant.
 TEST(SigmaOptimizerDifferentialTest, FingerprintIsStructural) {

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -160,6 +161,119 @@ TEST(SnapshotIoTest, FileRoundTripAndSniffing) {
   EXPECT_EQ(SnapshotFingerprint(**loaded), SnapshotFingerprint(snap));
   std::remove(path.c_str());
   EXPECT_FALSE(SniffSnapshotFile(path));  // gone
+}
+
+// ---- Writer side: schema growth after the core was built ----------------
+//
+// The Graph's committed core is built once per commit epoch and shared by
+// every snapshot of it, with candidate offsets sized to the schema of its
+// build. A label interned afterwards (a rule file naming a label the graph
+// lacks is enough) still reaches the file's dictionary, and the file must
+// load.
+
+TEST(SnapshotIoWriterTest, LabelInternedAfterTheCoreBuildStillLoads) {
+  SchemaPtr schema = Schema::Create();
+  Graph g(schema);
+  const NodeId a = g.AddNode("person");
+  const NodeId b = g.AddNode("person");
+  ASSERT_TRUE(g.AddEdge(a, b, "knows").ok());
+  { const GraphSnapshot first(g, GraphView::kNew); }  // builds the core
+  const LabelId city = schema->InternLabel("city");
+  const GraphSnapshot snap(g, GraphView::kNew);  // leases that core
+  const std::string path = ::testing::TempDir() + "/snapshot_io_grown.ngds";
+  ASSERT_TRUE(SaveSnapshotFile(snap, path).ok());
+  SchemaPtr fresh = Schema::Create();
+  auto loaded = LoadSnapshotFile(path, fresh);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SnapshotFingerprint(**loaded), SnapshotFingerprint(snap));
+  ASSERT_EQ(fresh->labels().Find("city"), std::optional<LabelId>(city));
+  EXPECT_TRUE((*loaded)->NodesWithLabel(city).empty());
+  EXPECT_EQ((*loaded)->NodesWithLabel(*fresh->labels().Find("person")).size(),
+            2u);
+}
+
+// Seeded writer-side property: under random schema growth, AddNode,
+// AddEdge/InsertEdge, SetAttr and Commit steps, every snapshot requested
+// of either view serializes to bytes that load back, into a fresh schema,
+// with an equal fingerprint.
+TEST(SnapshotIoWriterTest, EverySnapshotLoadsBackUnderSchemaGrowth) {
+  const size_t cases = CaseCount();
+  size_t snapshots = 0;
+  for (size_t c = 0; c < cases; ++c) {
+    const uint64_t seed = 7000 + c;
+    Rng rng(seed);
+    SchemaPtr schema = Schema::Create();
+    Graph g(schema);
+    std::vector<LabelId> labels{schema->InternLabel("l0")};
+    std::vector<AttrId> attrs{schema->InternAttr("a0")};
+    std::ostringstream trail;
+    for (int step = 0; step < 80; ++step) {
+      const auto pick = [&rng](size_t n) {
+        return static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      };
+      switch (rng.UniformInt(0, 7)) {
+        case 0:
+          labels.push_back(
+              schema->InternLabel("l" + std::to_string(labels.size())));
+          trail << " label";
+          break;
+        case 1:
+          attrs.push_back(
+              schema->InternAttr("a" + std::to_string(attrs.size())));
+          trail << " attr";
+          break;
+        case 2:
+          g.AddNode(labels[pick(labels.size())]);
+          trail << " node";
+          break;
+        case 3:
+          if (g.NumNodes() > 0) {
+            const NodeId src = static_cast<NodeId>(pick(g.NumNodes()));
+            const NodeId dst = static_cast<NodeId>(pick(g.NumNodes()));
+            const LabelId label = labels[pick(labels.size())];
+            // A duplicate edge is refused; either outcome is a valid step.
+            const Status s = rng.Bernoulli(0.5)
+                                 ? g.AddEdge(src, dst, label)
+                                 : g.InsertEdge(src, dst, label);
+            trail << (s.ok() ? " edge" : " dup-edge");
+          }
+          break;
+        case 4:
+          if (g.NumNodes() > 0) {
+            const NodeId v = static_cast<NodeId>(pick(g.NumNodes()));
+            const AttrId attr = attrs[pick(attrs.size())];
+            g.SetAttr(v, attr,
+                      rng.Bernoulli(0.5)
+                          ? Value(rng.UniformInt(-50, 50))
+                          : Value("s" + std::to_string(rng.UniformInt(0, 9))));
+            trail << " set";
+          }
+          break;
+        case 5:
+          g.Commit();
+          trail << " commit";
+          break;
+        default: {
+          const GraphView view =
+              rng.Bernoulli(0.5) ? GraphView::kOld : GraphView::kNew;
+          const GraphSnapshot snap(g, view);
+          auto loaded =
+              DeserializeSnapshot(MustSerialize(snap), Schema::Create());
+          ASSERT_TRUE(loaded.ok())
+              << "seed " << seed << " step " << step << ":" << trail.str()
+              << ": " << loaded.status().ToString();
+          EXPECT_EQ(SnapshotFingerprint(**loaded), SnapshotFingerprint(snap))
+              << "seed " << seed << " step " << step << ":" << trail.str();
+          ++snapshots;
+          trail << " snapshot";
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(snapshots, cases);
 }
 
 // ---- Robustness -----------------------------------------------------------

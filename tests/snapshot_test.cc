@@ -221,10 +221,11 @@ TEST_F(SnapshotTest, WantSnapshotCostModel) {
   EXPECT_TRUE(WantSnapshot(g_, broad));
 
   // Pending-overlay regression: delete every edge (pending, uncommitted).
-  // kNew is now edge-empty — a snapshot of it would be pointless — while
-  // kOld still holds the full graph. The guard and the seed counting must
-  // agree on the view being detected: the old code summed kNew+kOld edges
-  // but counted candidates on kNew, so this graph took the wrong branch.
+  // kNew, the view Dect detects, is now edge-empty — a snapshot of it
+  // would be pointless — while kOld still holds the full graph. The guard
+  // and the seed counting must agree on kNew: the old code summed
+  // kNew+kOld edges but counted candidates on kNew, so this graph took
+  // the wrong branch.
   std::vector<std::tuple<NodeId, NodeId, LabelId>> edges;
   GraphAccessor acc(g_, GraphView::kNew);
   for (NodeId v = 0; v < g_.NumNodes(); ++v) {
@@ -241,10 +242,9 @@ TEST_F(SnapshotTest, WantSnapshotCostModel) {
   }
   ASSERT_EQ(g_.NumEdges(GraphView::kNew), 0u);
   ASSERT_GT(g_.NumEdges(GraphView::kOld), 0u);
-  EXPECT_FALSE(WantSnapshot(g_, broad));                  // detected view kNew
-  EXPECT_FALSE(WantSnapshot(g_, broad, GraphView::kNew));
-  EXPECT_TRUE(WantSnapshot(g_, broad, GraphView::kOld));  // kOld unaffected
+  EXPECT_FALSE(WantSnapshot(g_, broad));
   g_.Rollback();
+  EXPECT_TRUE(WantSnapshot(g_, broad));  // the same edges, back in kNew
 }
 
 // ---- Equivalence property: snapshot Dect == live Dect ----------------------
@@ -261,6 +261,25 @@ struct EquivCase {
 void PrintTo(const EquivCase& c, std::ostream* os) { *os << c.name; }
 
 class SnapshotEquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
+
+/// Vio(Σ) read straight off the live graph's `view`, through the match
+/// layer: the engines detect kNew only, so this is the live side of the
+/// kOld comparison.
+VioSet LiveViolations(const Graph& g, const NgdSet& sigma, GraphView view) {
+  VioSet out;
+  for (size_t f = 0; f < sigma.size(); ++f) {
+    SearchConfig cfg;
+    cfg.graph = GraphAccessor(g, view);
+    cfg.pattern = &sigma[f].pattern();
+    cfg.x = &sigma[f].X();
+    cfg.y = &sigma[f].Y();
+    RunBatchSearch(cfg, [&](const Binding& h) {
+      out.Add(Violation{static_cast<int>(f), h});
+      return true;
+    });
+  }
+  return out;
+}
 
 TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
   const EquivCase& ec = GetParam();
@@ -284,31 +303,38 @@ TEST_P(SnapshotEquivalenceTest, DectAgreesOnBothViews) {
   UpdateBatch batch = GenerateUpdateBatch(g.get(), up);
   ASSERT_TRUE(ApplyUpdateBatch(g.get(), &batch).ok());
 
-  for (GraphView view : {GraphView::kOld, GraphView::kNew}) {
-    DectOptions live_opts;
-    live_opts.view = view;
-    live_opts.snapshot_mode = SnapshotMode::kNever;
-    DectOptions snap_opts = live_opts;
-    snap_opts.snapshot_mode = SnapshotMode::kAlways;
-    VioSet live = Dect(*g, sigma, live_opts);
-    VioSet snap = Dect(*g, sigma, snap_opts);
-    ASSERT_EQ(live.size(), snap.size())
-        << ec.name << " view " << static_cast<int>(view);
-    for (const auto& v : live.items()) {
-      EXPECT_TRUE(snap.Contains(v))
-          << "snapshot Dect missing a violation of rule "
-          << sigma[v.ngd_index].name();
-    }
-    // Fragment-native PDect agrees too.
-    PDectOptions popts;
-    popts.num_processors = 3;
-    popts.view = view;
-    VioSet parallel = PDect(*g, sigma, popts).vio;
-    EXPECT_EQ(parallel.size(), live.size());
-    for (const auto& v : parallel.items()) {
-      EXPECT_TRUE(live.Contains(v));
-    }
+  // kNew, the view the engines detect: live, snapshot and fragment-
+  // native Dect agree.
+  DectOptions live_opts;
+  live_opts.snapshot_mode = SnapshotMode::kNever;
+  DectOptions snap_opts = live_opts;
+  snap_opts.snapshot_mode = SnapshotMode::kAlways;
+  VioSet live = Dect(*g, sigma, live_opts);
+  VioSet snap = Dect(*g, sigma, snap_opts);
+  ASSERT_EQ(live.size(), snap.size()) << ec.name;
+  for (const auto& v : live.items()) {
+    EXPECT_TRUE(snap.Contains(v))
+        << "snapshot Dect missing a violation of rule "
+        << sigma[v.ngd_index].name();
   }
+  EXPECT_EQ(LiveViolations(*g, sigma, GraphView::kNew).Sorted(),
+            live.Sorted());
+  PDectOptions popts;
+  popts.num_processors = 3;
+  VioSet parallel = PDect(*g, sigma, popts).vio;
+  EXPECT_EQ(parallel.size(), live.size());
+  for (const auto& v : parallel.items()) {
+    EXPECT_TRUE(live.Contains(v));
+  }
+
+  // kOld under the pending batch: Dect handed GraphSnapshot(g, kOld)
+  // finds exactly what the live graph's kOld reads find.
+  const GraphSnapshot old_snap(*g, GraphView::kOld);
+  DectOptions old_opts;
+  old_opts.snapshot = &old_snap;
+  EXPECT_EQ(Dect(*g, sigma, old_opts).Sorted(),
+            LiveViolations(*g, sigma, GraphView::kOld).Sorted())
+      << ec.name << " kOld";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1218,7 +1218,7 @@ struct DectLeg {
 Status RunDectLeg(const Options& opts, const Graph& g, const NgdSet& sigma,
                   DectLeg* leg) {
   leg->nodes = g.NumNodes();
-  leg->auto_picks_snapshot = WantSnapshot(g, sigma, GraphView::kNew);
+  leg->auto_picks_snapshot = WantSnapshot(g, sigma);
   const std::pair<SnapshotMode, double*> modes[] = {
       {SnapshotMode::kNever, &leg->live_s},
       {SnapshotMode::kAlways, &leg->snapshot_s},
